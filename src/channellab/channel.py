@@ -109,20 +109,29 @@ class KrausChannel:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Matrix of a channel's linear extension on vectorized operators."""
+    """Matrix of a channel's linear extension on vectorized operators.
+
+    Construction computes the complex Schur pair ``schur = (t, z)`` of the
+    matrix once.  The spectral-radius gate reads the diagonal of `t`, and
+    `spectral.analyze` recovers the eigenvectors from the same pair.
+    """
 
     dim: int
     matrix: np.ndarray
+    schur: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = opalg.as_matrix(self.matrix, square=True, name="superoperator")
         if m.shape[0] != self.dim * self.dim:
             raise ValueError(f"superoperator shape {m.shape} does not match dim {self.dim}")
-        radius = float(np.abs(np.linalg.eigvals(m)).max())
+        t, z = opalg.schur(m)
+        radius = float(np.abs(np.diag(t)).max())
         if radius > 1.0 + tol.SPECTRAL_RADIUS_TOL:
             raise ValueError(f"superoperator spectral radius {radius:.12f} exceeds 1")
-        m.setflags(write=False)
+        for a in (m, t, z):
+            a.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "schur", (t, z))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from .channel import (
     validate_cpt,
 )
 from .dilation import (
-    conservation_audit,
     cross_validate,
     find_factorizing_eigenstates,
     instance_from_document,
@@ -42,8 +41,9 @@ from .dilation import (
 from .errors import HypothesisViolation, InternalInconsistencyError
 from .jsonutil import canonical_json, input_digest, json_to_matrix, matrix_to_json, vector_to_json
 from .lyapunov import (
+    FUNCTIONAL_TRIVIAL,
     FUNCTIONALS,
-    cesaro_average,
+    cesaro_averages,
     orbit,
     orbit_oracle,
     trivial_lyapunov,
@@ -197,12 +197,16 @@ def _cmd_orbit(args) -> int:
         trace = orbit(c, rho0, args.n, tuple(functionals))
         states = list(trace.states)
         values = trace.functional_values
+    if FUNCTIONAL_TRIVIAL in values:
+        distances = values[FUNCTIONAL_TRIVIAL]
+    elif fixed_point is not None:
+        distances = [trivial_lyapunov(state, fixed_point) for state in states]
+    else:
+        distances = [None] * len(states)
     for k, state in enumerate(states):
         record = {
             "n": k,
-            "distance_to_fixed_point": (
-                trivial_lyapunov(state, fixed_point) if fixed_point is not None else None
-            ),
+            "distance_to_fixed_point": distances[k],
             "functionals": {name: values[name][k] for name in functionals},
         }
         sys.stdout.write(canonical_json(record) + "\n")
@@ -260,10 +264,10 @@ def _cmd_cesaro(args) -> int:
     if fixed_point is None:
         warnings.append("channel has no unique fixed point; distances are omitted")
     checkpoints = sorted({10**k for k in range(0, 5) if 10**k <= args.n} | {args.n})
+    averages = cesaro_averages(c, rho0, checkpoints)
     rate_table = []
     for n in checkpoints:
-        avg = cesaro_average(c, rho0, n)
-        distance = trivial_lyapunov(avg, fixed_point) if fixed_point is not None else None
+        distance = trivial_lyapunov(averages[n], fixed_point) if fixed_point is not None else None
         rate_table.append(
             {
                 "n": n,
@@ -271,7 +275,7 @@ def _cmd_cesaro(args) -> int:
                 "n_scaled_distance": (n + 1) * distance if distance is not None else None,
             }
         )
-    final_avg = cesaro_average(c, rho0, args.n)
+    final_avg = averages[args.n]
     payload = {
         "n": args.n,
         "average": matrix_to_json(final_avg.matrix),

@@ -15,6 +15,7 @@ cross-validate the spectral classifier.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -370,25 +371,43 @@ def weak_contraction_check(c: KrausChannel, pairs: list) -> WeakContractionResul
     return WeakContractionResult(violated=False, witness=None, d_before=None, d_after=None)
 
 
-def cesaro_average(c: KrausChannel, rho0: DensityMatrix, n: int) -> DensityMatrix:
-    """Time average ``(1/(n+1)) sum_{l=0}^{n} tau^l(rho0)``.
+def cesaro_averages(
+    c: KrausChannel, rho0: DensityMatrix, horizons: Iterable[int]
+) -> dict[int, DensityMatrix]:
+    """Cesaro averages at every horizon in `horizons`, keyed by horizon.
 
-    For ergodic channels the average converges to the unique fixed point
-    at rate O(1/n) even when the orbit itself does not converge.
+    One pass of ``max(horizons)`` steps fills every entry.  The terms are
+    accumulated in the same order as in `cesaro_average`, so each entry
+    equals ``cesaro_average(c, rho0, n)`` bit for bit.
     """
-    if n < 1:
+    horizons = sorted(set(horizons))
+    if not horizons or horizons[0] < 1:
         raise ValueError("n must be >= 1")
     if rho0.dim != c.dim:
         raise ValueError(f"state dimension {rho0.dim} does not match channel dimension {c.dim}")
     s = to_superoperator(c)
     v = vec(rho0.matrix)
     acc = v.copy()
-    for _ in range(n):
-        v = s.matrix @ v
-        acc += v
-    avg = unvec(acc / (n + 1))
-    avg = (avg + avg.conj().T) / 2.0
-    return DensityMatrix(avg / avg.trace().real)
+    averages = {}
+    done = 0
+    for n in horizons:
+        for _ in range(n - done):
+            v = s.matrix @ v
+            acc += v
+        done = n
+        avg = unvec(acc / (n + 1))
+        avg = (avg + avg.conj().T) / 2.0
+        averages[n] = DensityMatrix(avg / avg.trace().real)
+    return averages
+
+
+def cesaro_average(c: KrausChannel, rho0: DensityMatrix, n: int) -> DensityMatrix:
+    """Time average ``(1/(n+1)) sum_{l=0}^{n} tau^l(rho0)``.
+
+    For ergodic channels the average converges to the unique fixed point
+    at rate O(1/n) even when the orbit itself does not converge.
+    """
+    return cesaro_averages(c, rho0, (n,))[n]
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 All operations work on square (or rectangular, where noted) complex
 ``numpy`` arrays in double precision.  Eigen-decompositions of general
-matrices go through the Schur form (unitary similarity to upper
+matrices go through the complex Schur form (unitary similarity to upper
 triangular), so eigenvalues stay reliable even for defective inputs;
-eigenvectors are recovered by triangular back-substitution and carry
-per-vector residuals.  Tolerances come from :mod:`channellab.tolerances`.
+eigenvectors are recovered by triangular back-substitution from a Schur
+pair that callers may already hold, and carry per-vector residuals.
+Tolerances come from :mod:`channellab.tolerances`.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ class EigenSystem:
     """Eigenvalues with matching eigenvector columns and residuals.
 
     `residual` is the max over pairs of ``||A v - lambda v||_2``;
-    `vector_residuals` holds the per-column values.  Ordering is
-    operation-specific: `hermitian_eig` sorts real eigenvalues ascending,
-    `general_eig` sorts by decreasing modulus, then by phase angle.
+    `vector_residuals` holds the per-column values.  Eigenvector columns
+    have unit 2-norm.  Ordering is operation-specific: `hermitian_eig`
+    sorts real eigenvalues ascending, `general_eig` sorts by decreasing
+    modulus, then by phase angle.
     """
 
     eigenvalues: np.ndarray
@@ -72,36 +74,44 @@ def hermitian_eig(m) -> EigenSystem:
     return EigenSystem(w, v, float(res.max(initial=0.0)), res)
 
 
-def general_eig(m) -> EigenSystem:
+def schur(m) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur pair ``(t, z)`` with ``m = z @ t @ z^dag``.
+
+    `t` is upper triangular with the eigenvalues on its diagonal and `z`
+    is unitary.  Solver failures propagate as ``numpy.linalg.LinAlgError``.
+    """
+    return scipy.linalg.schur(as_matrix(m, square=True), output="complex")
+
+
+def general_eig(m, schur_pair: tuple | None = None) -> EigenSystem:
     """Full complex eigendecomposition of a general square matrix.
 
-    Route: Schur form (Hessenberg reduction + shifted QR inside LAPACK),
-    eigenvalues read off the triangular diagonal, eigenvectors recovered
-    by back-substitution and rotated back with the Schur basis.  Near-zero
-    diagonal differences are floored at machine precision times the matrix
-    scale, so defective inputs yield eigenvectors of the achievable
-    quality with honest residuals.  Output is sorted by decreasing
-    modulus, then by phase angle.
+    Route: the complex Schur pair ``(t, z)`` of `m` (computed here with
+    `schur`, or passed in as `schur_pair` when the caller already holds
+    it), eigenvalues read off the triangular diagonal, eigenvectors of `t`
+    recovered by one back-substitution sweep over all columns at once and
+    rotated back with `z`.  Near-zero diagonal differences are floored at
+    machine precision times the matrix scale, so defective inputs yield
+    eigenvectors of the achievable quality with honest residuals.  Output
+    is sorted by decreasing modulus, then by phase angle.
     """
     a = as_matrix(m, square=True)
     n = a.shape[0]
-    t, z = scipy.linalg.schur(a, output="complex")
+    t, z = schur(a) if schur_pair is None else schur_pair
     vals = np.diag(t).copy()
     scale = max(1.0, float(np.abs(t).max(initial=0.0)))
     floor = np.finfo(float).eps * scale
-    vecs = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        lam = vals[k]
-        y = np.zeros(n, dtype=complex)
-        y[k] = 1.0
-        for i in range(k - 1, -1, -1):
-            s = t[i, i + 1 : k + 1] @ y[i + 1 : k + 1]
-            d = t[i, i] - lam
-            if abs(d) < floor:
-                d = floor
-            y[i] = -s / d
-        v = z @ y
-        vecs[:, k] = v / np.linalg.norm(v)
+    # Column k of y solves (t - vals[k]) y = 0 with y[k] = 1 and y[k+1:] = 0;
+    # row i of every column depends only on rows below it.
+    y = np.eye(n, dtype=complex)
+    for i in range(n - 2, -1, -1):
+        d = t[i, i] - vals[i + 1 :]
+        d[np.abs(d) < floor] = floor
+        y[i, i + 1 :] = -(t[i, i + 1 :] @ y[i + 1 :, i + 1 :]) / d
+    vecs = z @ y
+    # Free y before the sort and the residuals add their n x n temporaries.
+    del y
+    vecs /= np.linalg.norm(vecs, axis=0)
     order = np.lexsort((np.angle(vals), -np.abs(vals)))
     vals = vals[order]
     vecs = vecs[:, order]

@@ -106,7 +106,7 @@ def analyze(
     cluster to be the entire peripheral set and simple.
     """
     dim = s.dim
-    system = opalg.general_eig(s.matrix)
+    system = opalg.general_eig(s.matrix, s.schur)
     spectrum = system.eigenvalues
     moduli = np.abs(spectrum)
     peripheral_mask = moduli > 1.0 - peripheral_tol

@@ -22,7 +22,7 @@ from channellab import (
     to_superoperator,
     validate_cpt,
 )
-from channellab.channel import unvec, vec
+from channellab.channel import Superoperator, unvec, vec
 from channellab.zoo import (
     SWAP,
     build_named,
@@ -144,6 +144,27 @@ class TestAction:
         eig = np.sort(np.linalg.eigvals(s.matrix).real)
         oracle = np.sort([1.0, 1.0 - p, 1.0 - p, 1.0 - p])
         assert np.abs(eig - oracle).max() <= 1e-10
+
+
+class TestSpectralRadiusGate:
+    def test_rejects_scalar_above_one(self):
+        with pytest.raises(ValueError, match="spectral radius"):
+            Superoperator(1, [[1.5]])
+
+    def test_tolerance_edge_on_conjugated_diagonal(self):
+        rng = np.random.default_rng(17)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+
+        def conjugated(top):
+            return q @ np.diag([top, 0.5, 0.25j, -0.1]) @ q.conj().T
+
+        with pytest.raises(ValueError, match="spectral radius"):
+            Superoperator(2, conjugated(1.0 + 1e-6))
+        s = Superoperator(2, conjugated(1.0 + 1e-8))
+        t, z = s.schur
+        assert np.abs(np.tril(t, -1)).max() == 0.0
+        assert np.abs(z @ t @ z.conj().T - s.matrix).max() <= 1e-14
+        assert np.abs(np.diag(t)).max() == pytest.approx(1.0 + 1e-8, abs=1e-14)
 
 
 class TestStinespring:

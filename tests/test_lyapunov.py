@@ -28,6 +28,7 @@ from channellab.lyapunov import (
     FUNCTIONAL_VON_NEUMANN,
     ORACLE_MIXING,
     ORACLE_NOT_MIXING,
+    cesaro_averages,
 )
 from channellab.opalg import trace_norm
 from channellab.zoo import (
@@ -255,6 +256,15 @@ class TestCesaro:
     def test_rejects_zero_terms(self):
         with pytest.raises(ValueError, match="n must be >= 1"):
             cesaro_average(example_ergodic_channel(), GROUND_2, 0)
+
+    def test_single_pass_matches_separate_averages(self):
+        horizons = (1, 10, 100, 1000)
+        for c in (example_ergodic_channel(), build_named("random", dim=3, kraus_rank=2, seed=5)):
+            rho0 = DensityMatrix.basis_state(c.dim, 0)
+            averages = cesaro_averages(c, rho0, horizons)
+            assert sorted(averages) == list(horizons)
+            for n in horizons:
+                assert np.array_equal(averages[n].matrix, cesaro_average(c, rho0, n).matrix), n
 
     def test_one_over_n_decay_across_ergodic_catalog(self, zoo_entries, spectral_reports):
         # calibrate C from n=100, then the distance at larger n must track

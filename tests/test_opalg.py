@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from channellab import opalg
+import scipy.linalg
+
+from channellab import opalg, to_superoperator
+from channellab.zoo import example_ergodic_channel
 
 
 def _random_complex(rng, *shape):
@@ -87,6 +90,57 @@ class TestGeneralEig:
         assert np.all(np.diff(moduli) <= 1e-12)
         assert system.eigenvalues[0] == pytest.approx(1.0)  # angle 0 before angle pi
         assert system.eigenvalues[1] == pytest.approx(-1.0)
+
+
+def _per_column_eig(a):
+    """Reference: back-substitute one eigenvector column of the Schur form at a time."""
+    n = a.shape[0]
+    t, z = scipy.linalg.schur(a, output="complex")
+    vals = np.diag(t).copy()
+    floor = np.finfo(float).eps * max(1.0, float(np.abs(t).max()))
+    vecs = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        y = np.zeros(n, dtype=complex)
+        y[k] = 1.0
+        for i in range(k - 1, -1, -1):
+            d = t[i, i] - vals[k]
+            if abs(d) < floor:
+                d = floor
+            y[i] = -(t[i, i + 1 : k + 1] @ y[i + 1 : k + 1]) / d
+        v = z @ y
+        vecs[:, k] = v / np.linalg.norm(v)
+    order = np.lexsort((np.angle(vals), -np.abs(vals)))
+    return vals[order], vecs[:, order]
+
+
+class TestBackSubstitution:
+    @pytest.mark.parametrize("case", ["random_non_normal", "jordan_block", "example_ergodic"])
+    def test_matches_per_column_reference(self, case):
+        if case == "random_non_normal":
+            rng = np.random.default_rng(40)
+            a = np.triu(_random_complex(rng, 40, 40)) + 0.1 * _random_complex(rng, 40, 40)
+        elif case == "jordan_block":
+            # equal diagonal entries: every difference takes the eps * scale floor
+            a = 0.5 * np.eye(6) + np.diag(np.ones(5), 1)
+        else:
+            a = to_superoperator(example_ergodic_channel()).matrix
+        ref_vals, ref_vecs = _per_column_eig(a)
+        system = opalg.general_eig(a)
+        assert np.array_equal(system.eigenvalues, ref_vals)
+        schur_diag = np.diag(scipy.linalg.schur(a, output="complex")[0])
+        order = np.lexsort((np.angle(schur_diag), -np.abs(schur_diag)))
+        assert np.array_equal(system.eigenvalues, schur_diag[order])
+        overlap = np.sum(ref_vecs.conj() * system.eigenvectors, axis=0)
+        aligned = system.eigenvectors * (overlap.conj() / np.abs(overlap))
+        assert np.abs(aligned - ref_vecs).max() <= 1e-12
+
+    def test_given_schur_pair_gives_the_same_system(self):
+        rng = np.random.default_rng(2)
+        a = _random_complex(rng, 12, 12)
+        fresh = opalg.general_eig(a)
+        reused = opalg.general_eig(a, opalg.schur(a))
+        assert np.array_equal(fresh.eigenvalues, reused.eigenvalues)
+        assert np.array_equal(fresh.eigenvectors, reused.eigenvectors)
 
 
 class TestDecompositions:
