@@ -234,22 +234,14 @@ def apply(c: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
 def to_superoperator(c: KrausChannel) -> Superoperator:
     """Matrix form ``S = sum_n conj(K_n) (x) K_n`` (column-stacking convention).
 
-    The construction is cross-checked against direct Kraus application on
-    the full matrix-unit basis before the matrix is accepted.
+    The identity ``S vec(X) = vec(tau(X))`` is pinned by the test suite on
+    every matrix unit, not re-checked here; construction still runs the
+    `Superoperator` spectral-radius gate.
     """
     d = c.dim
     s = np.zeros((d * d, d * d), dtype=complex)
     for k in c.kraus_ops:
         s += np.kron(k.conj(), k)
-    worst = 0.0
-    for col in range(d):
-        for row in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[row, col] = 1.0
-            dev = float(np.abs(s[:, col * d + row] - vec(apply_raw(c, unit))).max())
-            worst = max(worst, dev)
-    if worst > tol.SUPEROP_ACTION_TOL:
-        raise ValueError(f"superoperator action deviates from Kraus application by {worst:.3e}")
     return Superoperator(d, s)
 
 
@@ -281,10 +273,10 @@ def power(c: KrausChannel, n: int) -> Superoperator:
     return Superoperator(c.dim, np.linalg.matrix_power(s.matrix, n))
 
 
-def is_unital(c: KrausChannel, atol: float = 1e-9) -> bool:
-    """True when the channel fixes the maximally mixed state."""
+def is_unital(c: KrausChannel) -> bool:
+    """True when the channel fixes the maximally mixed state within ``UNITAL_TOL``."""
     ident = np.eye(c.dim, dtype=complex)
-    return float(np.abs(apply_raw(c, ident) - ident).max()) <= atol
+    return float(np.abs(apply_raw(c, ident) - ident).max()) <= tol.UNITAL_TOL
 
 
 # --- JSON channel documents ---------------------------------------------------

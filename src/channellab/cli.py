@@ -28,12 +28,10 @@ from .channel import (
     channel_from_document,
     channel_to_document,
     stinespring_to_document,
-    to_superoperator,
     validate_cpt,
 )
 from .dilation import (
     cross_validate,
-    find_factorizing_eigenstates,
     instance_from_document,
     instance_to_document,
     validate_conserved,
@@ -146,7 +144,7 @@ def _cmd_validate(args) -> int:
 def _cmd_classify(args) -> int:
     c, doc = _load_channel(args.file)
     _require_valid(c)
-    report = analyze(to_superoperator(c))
+    report = analyze(c)
     payload = report_to_payload(report)
     warnings = []
     if report.near_cluster_boundary:
@@ -155,7 +153,7 @@ def _cmd_classify(args) -> int:
             "the verdict is sensitive to the clustering tolerances"
         )
     if args.oracle:
-        oracle = orbit_oracle(c, n_max=args.nmax, tol_distance=args.tol, seed=args.seed)
+        oracle = orbit_oracle(report.superoperator, n_max=args.nmax, tol_distance=args.tol, seed=args.seed)
         agrees = (report.verdict == VERDICT_MIXING) == (oracle.verdict == "mixing")
         payload["oracle"] = {
             "verdict": oracle.verdict,
@@ -185,16 +183,16 @@ def _cmd_orbit(args) -> int:
         for name in functionals:
             if name not in FUNCTIONALS:
                 raise UsageError(f"unknown functional {name!r}; expected one of {FUNCTIONALS}")
-    report = analyze(to_superoperator(c))
+    report = analyze(c)
     fixed_point = report.fixed_points[0] if report.verdict != VERDICT_NOT_ERGODIC else None
     if args.n == 0:
         states = [rho0]
         values = {}
         if functionals:
-            trace = orbit(c, rho0, 1, tuple(functionals))
+            trace = orbit(report, rho0, 1, tuple(functionals))
             values = {name: series[:1] for name, series in trace.functional_values.items()}
     else:
-        trace = orbit(c, rho0, args.n, tuple(functionals))
+        trace = orbit(report, rho0, args.n, tuple(functionals))
         states = list(trace.states)
         values = trace.functional_values
     if FUNCTIONAL_TRIVIAL in values:
@@ -219,8 +217,8 @@ def _cmd_dilation(args) -> int:
     report = validate_conserved(cd)
     if not report.passed:
         raise HypothesisViolation("; ".join(report.messages))
-    fact = find_factorizing_eigenstates(cd)
     cross = cross_validate(cd)
+    fact = cross.factorizing
     payload = {
         "validation": {
             "commutator_defect": report.commutator_defect,
@@ -258,13 +256,13 @@ def _cmd_cesaro(args) -> int:
     rho0 = _parse_state(args.state, c.dim)
     if args.n < 1:
         raise UsageError("--n must be >= 1")
-    report = analyze(to_superoperator(c))
+    report = analyze(c)
     fixed_point = report.fixed_points[0] if report.verdict != VERDICT_NOT_ERGODIC else None
     warnings = []
     if fixed_point is None:
         warnings.append("channel has no unique fixed point; distances are omitted")
     checkpoints = sorted({10**k for k in range(0, 5) if 10**k <= args.n} | {args.n})
-    averages = cesaro_averages(c, rho0, checkpoints)
+    averages = cesaro_averages(report.superoperator, rho0, checkpoints)
     rate_table = []
     for n in checkpoints:
         distance = trivial_lyapunov(averages[n], fixed_point) if fixed_point is not None else None
@@ -343,12 +341,9 @@ def _cmd_zoo_emit(args) -> int:
                 spec = find_spec(name, **params)
                 channel = build(spec)
             except ValueError:
-                if name == "random":
-                    if args.dim is None:
-                        raise UsageError("random channels need --dim")
-                    channel = build_named(name, dim=args.dim, **params)
-                else:
-                    channel = build_named(name, dim=args.dim, **params)
+                if name == "random" and args.dim is None:
+                    raise UsageError("random channels need --dim")
+                channel = build_named(name, dim=args.dim, **params)
             doc = channel_to_document(channel)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

@@ -26,7 +26,6 @@ from .channel import (
     apply,
     from_stinespring,
     stinespring_from_document,
-    to_superoperator,
 )
 from .errors import HypothesisViolation, InternalInconsistencyError
 from .jsonutil import json_to_matrix, matrix_to_json, vector_to_json
@@ -271,13 +270,18 @@ def find_factorizing_eigenstates(cd: ConservedDilation) -> FactorizingEigenstate
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Agreement between the factorizing-eigenstate count and spectral analysis."""
+    """Agreement between the factorizing-eigenstate count and spectral analysis.
+
+    `factorizing` is the factorizing-eigenstate report that was compared,
+    so callers read it here instead of recomputing it.
+    """
 
     factorizing_verdict: str
     spectral_verdict: str
     agree: bool
     count: int
     fixed_point_distance: float | None
+    factorizing: FactorizingEigenstateReport = field(repr=False, compare=False)
 
 
 def cross_validate(cd: ConservedDilation) -> ConsistencyReport:
@@ -289,7 +293,7 @@ def cross_validate(cd: ConservedDilation) -> ConsistencyReport:
     """
     fact = find_factorizing_eigenstates(cd)
     channel = from_stinespring(cd.dilation)
-    spectral_report = analyze(to_superoperator(channel))
+    spectral_report = analyze(channel)
     if fact.verdict == VERDICT_MIXING:
         agree = spectral_report.verdict == VERDICT_MIXING
     else:
@@ -305,6 +309,7 @@ def cross_validate(cd: ConservedDilation) -> ConsistencyReport:
         agree=agree,
         count=fact.count,
         fixed_point_distance=distance,
+        factorizing=fact,
     )
 
 

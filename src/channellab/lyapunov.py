@@ -22,9 +22,9 @@ import numpy as np
 
 from . import opalg
 from . import tolerances as tol
-from .channel import DensityMatrix, KrausChannel, apply, is_unital, power, to_superoperator, unvec, vec
+from .channel import DensityMatrix, KrausChannel, Superoperator, apply, is_unital, power, unvec, vec
 from .errors import HypothesisViolation
-from .spectral import VERDICT_NOT_ERGODIC, analyze
+from .spectral import VERDICT_NOT_ERGODIC, SpectralReport
 
 FUNCTIONAL_TRIVIAL = "trivial"
 FUNCTIONAL_RELATIVE_ENTROPY = "relative_entropy"
@@ -42,40 +42,35 @@ def trivial_lyapunov(rho: DensityMatrix, fixed_point: DensityMatrix) -> float:
     return opalg.trace_norm(rho.matrix - fixed_point.matrix)
 
 
-def relative_entropy(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    *,
-    support_tol: float = tol.SUPPORT_TOL,
-    leak_tol: float = tol.REL_ENTROPY_LEAK_TOL,
-) -> float:
+def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Quantum relative entropy ``Tr rho (log rho - log sigma)`` in nats.
 
-    Returns ``math.inf`` when the support of `rho` leaks outside the
-    support of `sigma` by more than `leak_tol` (the quantity is infinite
-    unless supp(rho) is contained in supp(sigma)).
+    Eigenvalues at or below ``SUPPORT_TOL`` count as kernel.  Returns
+    ``math.inf`` when the support of `rho` leaks outside the support of
+    `sigma` by more than ``REL_ENTROPY_LEAK_TOL`` (the quantity is
+    infinite unless supp(rho) is contained in supp(sigma)).
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     q, v = np.linalg.eigh(sigma.matrix)
-    kernel = v[:, q <= support_tol]
+    kernel = v[:, q <= tol.SUPPORT_TOL]
     if kernel.shape[1]:
         leak = float(np.real(np.trace(kernel.conj().T @ rho.matrix @ kernel)))
-        if leak > leak_tol:
+        if leak > tol.REL_ENTROPY_LEAK_TOL:
             return math.inf
     p = np.linalg.eigvalsh(rho.matrix)
-    p = p[p > support_tol]
+    p = p[p > tol.SUPPORT_TOL]
     tr_rho_log_rho = float(np.sum(p * np.log(p)))
-    on_support = q > support_tol
+    on_support = q > tol.SUPPORT_TOL
     log_sigma = (v[:, on_support] * np.log(q[on_support])) @ v[:, on_support].conj().T
     tr_rho_log_sigma = float(np.real(np.trace(rho.matrix @ log_sigma)))
     return max(0.0, tr_rho_log_rho - tr_rho_log_sigma)
 
 
-def von_neumann_entropy(rho: DensityMatrix, *, support_tol: float = tol.SUPPORT_TOL) -> float:
-    """``-sum p log p`` over eigenvalues above `support_tol`, in nats."""
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """``-sum p log p`` over eigenvalues above ``SUPPORT_TOL``, in nats."""
     p = np.linalg.eigvalsh(rho.matrix)
-    p = p[p > support_tol]
+    p = p[p > tol.SUPPORT_TOL]
     return float(max(0.0, -np.sum(p * np.log(p))))
 
 
@@ -117,8 +112,7 @@ def _evaluate_functional(name: str, state: DensityMatrix, fixed_point: DensityMa
     raise ValueError(f"unknown functional {name!r}; expected one of {FUNCTIONALS}")
 
 
-def _unique_fixed_point(c: KrausChannel, purpose: str) -> DensityMatrix:
-    report = analyze(to_superoperator(c))
+def _unique_fixed_point(report: SpectralReport, purpose: str) -> DensityMatrix:
     if report.verdict == VERDICT_NOT_ERGODIC:
         raise HypothesisViolation(
             f"{purpose} requires a unique fixed point; the fixed-point set is "
@@ -127,26 +121,26 @@ def _unique_fixed_point(c: KrausChannel, purpose: str) -> DensityMatrix:
     return report.fixed_points[0]
 
 
-def orbit(c: KrausChannel, rho0: DensityMatrix, n: int, functionals: tuple = ()) -> OrbitTrace:
-    """Iterate the channel `n` times from `rho0`, evaluating `functionals`.
+def orbit(report: SpectralReport, rho0: DensityMatrix, n: int, functionals: tuple = ()) -> OrbitTrace:
+    """Iterate the analyzed channel `n` times from `rho0`, evaluating `functionals`.
 
     Functionals that compare against the fixed point (trivial, relative
     entropy) require the channel to have a unique fixed point.
     """
     if n < 1:
         raise ValueError("orbit length n must be >= 1")
-    if rho0.dim != c.dim:
-        raise ValueError(f"state dimension {rho0.dim} does not match channel dimension {c.dim}")
+    if rho0.dim != report.dim:
+        raise ValueError(f"state dimension {rho0.dim} does not match channel dimension {report.dim}")
     names = tuple(functionals)
     for name in names:
         if name not in FUNCTIONALS:
             raise ValueError(f"unknown functional {name!r}; expected one of {FUNCTIONALS}")
     fixed_point = None
     if any(name in (FUNCTIONAL_TRIVIAL, FUNCTIONAL_RELATIVE_ENTROPY) for name in names):
-        fixed_point = _unique_fixed_point(c, "a fixed-point-relative functional")
+        fixed_point = _unique_fixed_point(report, "a fixed-point-relative functional")
     states = [rho0]
     for _ in range(n):
-        states.append(apply(c, states[-1]))
+        states.append(apply(report.channel, states[-1]))
     values = {
         name: tuple(_evaluate_functional(name, state, fixed_point) for state in states)
         for name in names
@@ -191,7 +185,7 @@ class LyapunovVerdict:
 
 
 def verify_generalized_lyapunov(
-    c: KrausChannel, functional: str, trial_states: list, n: int
+    report: SpectralReport, functional: str, trial_states: list, n: int
 ) -> LyapunovVerdict:
     """Empirically test one functional for monotone + strict behaviour.
 
@@ -209,12 +203,12 @@ def verify_generalized_lyapunov(
     if not trial_states:
         raise ValueError("at least one trial state is required")
     for state in trial_states:
-        if state.dim != c.dim:
-            raise ValueError(f"trial state dimension {state.dim} does not match channel dimension {c.dim}")
+        if state.dim != report.dim:
+            raise ValueError(f"trial state dimension {state.dim} does not match channel dimension {report.dim}")
 
+    c = report.channel
     notes: list[str] = []
     fixed_point = None
-    report = analyze(to_superoperator(c))
     if functional in (FUNCTIONAL_TRIVIAL, FUNCTIONAL_RELATIVE_ENTROPY):
         if report.verdict == VERDICT_NOT_ERGODIC:
             raise HypothesisViolation(
@@ -372,20 +366,19 @@ def weak_contraction_check(c: KrausChannel, pairs: list) -> WeakContractionResul
 
 
 def cesaro_averages(
-    c: KrausChannel, rho0: DensityMatrix, horizons: Iterable[int]
+    s: Superoperator, rho0: DensityMatrix, horizons: Iterable[int]
 ) -> dict[int, DensityMatrix]:
-    """Cesaro averages at every horizon in `horizons`, keyed by horizon.
+    """Cesaro averages under superoperator `s` at every horizon, keyed by horizon.
 
     One pass of ``max(horizons)`` steps fills every entry.  The terms are
     accumulated in the same order as in `cesaro_average`, so each entry
-    equals ``cesaro_average(c, rho0, n)`` bit for bit.
+    equals ``cesaro_average(s, rho0, n)`` bit for bit.
     """
     horizons = sorted(set(horizons))
     if not horizons or horizons[0] < 1:
         raise ValueError("n must be >= 1")
-    if rho0.dim != c.dim:
-        raise ValueError(f"state dimension {rho0.dim} does not match channel dimension {c.dim}")
-    s = to_superoperator(c)
+    if rho0.dim != s.dim:
+        raise ValueError(f"state dimension {rho0.dim} does not match channel dimension {s.dim}")
     v = vec(rho0.matrix)
     acc = v.copy()
     averages = {}
@@ -401,13 +394,13 @@ def cesaro_averages(
     return averages
 
 
-def cesaro_average(c: KrausChannel, rho0: DensityMatrix, n: int) -> DensityMatrix:
+def cesaro_average(s: Superoperator, rho0: DensityMatrix, n: int) -> DensityMatrix:
     """Time average ``(1/(n+1)) sum_{l=0}^{n} tau^l(rho0)``.
 
     For ergodic channels the average converges to the unique fixed point
     at rate O(1/n) even when the orbit itself does not converge.
     """
-    return cesaro_averages(c, rho0, (n,))[n]
+    return cesaro_averages(s, rho0, (n,))[n]
 
 
 @dataclass(frozen=True)
@@ -432,19 +425,19 @@ def _max_pairwise_distance(columns: np.ndarray, dim: int, pair_index: tuple) -> 
     return float(np.abs(eigs).sum(axis=1).max())
 
 
-def orbit_oracle(c: KrausChannel, n_max: int = 2000, tol_distance: float = 1e-8, seed: int = 0) -> OracleResult:
-    """Brute-force mixing test by iterating a deterministic probe set.
+def orbit_oracle(s: Superoperator, n_max: int = 2000, tol_distance: float = 1e-8, seed: int = 0) -> OracleResult:
+    """Brute-force mixing test by iterating a deterministic probe set under `s`.
 
     The channel counts as mixing when the maximum pairwise trace distance
     over all probes is below `tol_distance` at the horizon AND over the
     trailing 10% of steps (so a transient dip cannot fake convergence).
     Differences of Hermitian probes stay Hermitian, so distances use a
-    batched Hermitian eigensolve.
+    batched Hermitian eigensolve.  The verdict reads only the matrix of
+    `s`, never its spectrum.
     """
     if n_max < 100:
         raise ValueError("n_max must be >= 100 for a meaningful horizon")
-    s = to_superoperator(c)
-    probes = probe_states(c.dim, seed=seed)
+    probes = probe_states(s.dim, seed=seed)
     columns = np.stack([vec(p.matrix) for p in probes], axis=1)
     m = len(probes)
     i_idx, j_idx = np.triu_indices(m, k=1)
@@ -455,7 +448,7 @@ def orbit_oracle(c: KrausChannel, n_max: int = 2000, tol_distance: float = 1e-8,
     for step in range(1, n_max + 1):
         columns = s.matrix @ columns
         if step >= start:
-            trailing.append(_max_pairwise_distance(columns, c.dim, pair_index))
+            trailing.append(_max_pairwise_distance(columns, s.dim, pair_index))
     final = trailing[-1]
     trailing_max = max(trailing)
     verdict = ORACLE_MIXING if final < tol_distance and trailing_max < tol_distance else ORACLE_NOT_MIXING

@@ -5,13 +5,13 @@ All operations work on square (or rectangular, where noted) complex
 matrices go through the complex Schur form (unitary similarity to upper
 triangular), so eigenvalues stay reliable even for defective inputs;
 eigenvectors are recovered by triangular back-substitution from a Schur
-pair that callers may already hold, and carry per-vector residuals.
+pair that callers may already hold, and report their worst residual.
 Tolerances come from :mod:`channellab.tolerances`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -38,40 +38,15 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigenvalues with matching eigenvector columns and residuals.
+    """Eigenvalues with matching eigenvector columns and their residual.
 
-    `residual` is the max over pairs of ``||A v - lambda v||_2``;
-    `vector_residuals` holds the per-column values.  Eigenvector columns
-    have unit 2-norm.  Ordering is operation-specific: `hermitian_eig`
-    sorts real eigenvalues ascending, `general_eig` sorts by decreasing
-    modulus, then by phase angle.
+    `residual` is the max over pairs of ``||A v - lambda v||_2``.
+    Eigenvector columns have unit 2-norm.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residual: float
-    vector_residuals: np.ndarray = field(repr=False, default=None)
-
-
-def _residuals(a: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(a @ vecs - vecs * vals[np.newaxis, :], axis=0)
-
-
-def hermitian_eig(m) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    The input must be Hermitian within ``HERMITICITY_TOL`` in max norm; it
-    is symmetrized to (m + m^dag)/2 before solving.  Solver failures
-    propagate as ``numpy.linalg.LinAlgError``.
-    """
-    a = as_matrix(m, square=True)
-    defect = hermiticity_defect(a)
-    if defect > tol.HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol.HERMITICITY_TOL:.0e}")
-    h = (a + a.conj().T) / 2.0
-    w, v = np.linalg.eigh(h)
-    res = _residuals(h, w.astype(complex), v)
-    return EigenSystem(w, v, float(res.max(initial=0.0)), res)
 
 
 def schur(m) -> tuple[np.ndarray, np.ndarray]:
@@ -115,8 +90,8 @@ def general_eig(m, schur_pair: tuple | None = None) -> EigenSystem:
     order = np.lexsort((np.angle(vals), -np.abs(vals)))
     vals = vals[order]
     vecs = vecs[:, order]
-    res = _residuals(a, vals, vecs)
-    return EigenSystem(vals, vecs, float(res.max(initial=0.0)), res)
+    res = np.linalg.norm(a @ vecs - vecs * vals[np.newaxis, :], axis=0)
+    return EigenSystem(vals, vecs, float(res.max(initial=0.0)))
 
 
 def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,39 +129,6 @@ def psd_sqrt(m) -> np.ndarray:
     w = np.clip(w, 0.0, None)
     root = (v * np.sqrt(w)) @ v.conj().T
     return (root + root.conj().T) / 2.0
-
-
-def log_on_support(m, support_tol: float = tol.SUPPORT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Natural log of a Hermitian PSD matrix on its support.
-
-    Eigenvalues above `support_tol` get ``ln``; the kernel maps to zero.
-    Returns ``(log_matrix, support_projector)``.
-    """
-    a = as_matrix(m, square=True)
-    defect = hermiticity_defect(a)
-    if defect > tol.HERMITICITY_TOL:
-        raise ValueError(f"log_on_support needs a Hermitian matrix: defect {defect:.3e}")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-    if w.size and w.min() < -tol.PSD_REJECT:
-        raise ValueError(f"matrix is materially non-PSD: min eigenvalue {w.min():.3e}")
-    on = w > support_tol
-    logs = np.where(on, np.log(np.where(on, w, 1.0)), 0.0)
-    logm = (v * logs) @ v.conj().T
-    proj = (v * on.astype(float)) @ v.conj().T
-    return (logm + logm.conj().T) / 2.0, (proj + proj.conj().T) / 2.0
-
-
-def polar_left(m) -> tuple[np.ndarray, np.ndarray]:
-    """Left polar decomposition ``m = p @ u``.
-
-    `p` = sqrt(m m^dag) is Hermitian PSD and `u` is unitary (SVD supplies
-    the unitary completion on the kernel of `p`).
-    """
-    a = as_matrix(m, square=True)
-    w, s, v = svd(a)
-    p = (w * s) @ w.conj().T
-    u = w @ v.conj().T
-    return (p + p.conj().T) / 2.0, u
 
 
 def kron(a, b) -> np.ndarray:

@@ -33,6 +33,9 @@ VERDICT_NOT_ERGODIC = "not_ergodic"
 class SpectralReport:
     """Classification of one channel from its superoperator spectrum.
 
+    The report is the analysis object of one request: `channel` and its
+    `superoperator` (with the Schur pair) are built once by `analyze` and
+    carried here, so later steps read them instead of rebuilding them.
     `fixed_points` holds the eigenvalue-1 eigenvectors that survive
     Hermitization, positivity, and trace normalization (exactly one when
     the verdict is not `not_ergodic`).  `fixed_point_basis` keeps the full
@@ -54,63 +57,44 @@ class SpectralReport:
     peripheral_eigenvectors: tuple = field(repr=False)
     near_cluster_boundary: bool
     max_residual: float
+    channel: KrausChannel = field(repr=False, compare=False)
+    superoperator: Superoperator = field(repr=False, compare=False)
 
 
-def _fixed_point_from_simple_eigenvector(theta: np.ndarray) -> DensityMatrix:
-    trace = theta.trace()
-    if abs(trace) < 1e-8:
-        raise InternalInconsistencyError(
-            "eigenvalue-1 eigenvector is traceless although the fixed point is unique"
-        )
-    cand = theta / trace
-    herm = (cand + cand.conj().T) / 2.0
-    eigs = np.linalg.eigvalsh(herm)
-    if eigs.min() < -tol.FIXED_POINT_PSD_TOL:
-        raise InternalInconsistencyError(
-            f"Hermitized fixed-point candidate has eigenvalue {eigs.min():.3e}; "
-            "not PSD although the eigenvalue-1 multiplicity is 1"
-        )
-    w, v = np.linalg.eigh(herm)
-    w = np.clip(w, 0.0, None)
-    cleaned = (v * w) @ v.conj().T
-    cleaned = (cleaned + cleaned.conj().T) / 2.0
-    return DensityMatrix(cleaned / cleaned.trace().real)
+def _density_from_candidate(candidate: np.ndarray, psd_tol: float) -> DensityMatrix | None:
+    """Density matrix from a fixed-point candidate, or None.
 
-
-def _try_density(candidate: np.ndarray) -> DensityMatrix | None:
-    trace = candidate.trace().real
+    Normalizes the trace, Hermitizes, and clips eigenvalues above
+    ``-psd_tol`` to zero.  Returns None when the candidate is traceless or
+    has an eigenvalue below ``-psd_tol`` after Hermitization.
+    """
+    trace = candidate.trace()
     if abs(trace) < 1e-8:
         return None
     herm = candidate / trace
     herm = (herm + herm.conj().T) / 2.0
-    eigs = np.linalg.eigvalsh(herm)
-    if eigs.min() < -tol.PSD_CLIP:
-        return None
     w, v = np.linalg.eigh(herm)
+    if w[0] < -psd_tol:
+        return None
     w = np.clip(w, 0.0, None)
     cleaned = (v * w) @ v.conj().T
     return DensityMatrix((cleaned + cleaned.conj().T) / 2.0 / cleaned.trace().real)
 
 
-def analyze(
-    s: Superoperator,
-    *,
-    peripheral_tol: float = tol.PERIPHERAL_TOL,
-    cluster_tol: float = tol.CLUSTER_TOL,
-) -> SpectralReport:
-    """Classify the channel behind superoperator `s`.
+def analyze(c: KrausChannel) -> SpectralReport:
+    """Build the superoperator of channel `c` and classify it.
 
-    Eigenvalues within `cluster_tol` of 1 form the fixed-point cluster;
+    Eigenvalues within ``CLUSTER_TOL`` of 1 form the fixed-point cluster;
     its size decides ergodicity.  Eigenvalues of modulus above
-    ``1 - peripheral_tol`` are peripheral; mixing requires the fixed-point
+    ``1 - PERIPHERAL_TOL`` are peripheral; mixing requires the fixed-point
     cluster to be the entire peripheral set and simple.
     """
-    dim = s.dim
+    s = to_superoperator(c)
     system = opalg.general_eig(s.matrix, s.schur)
     spectrum = system.eigenvalues
     moduli = np.abs(spectrum)
-    peripheral_mask = moduli > 1.0 - peripheral_tol
-    one_mask = np.abs(spectrum - 1.0) <= cluster_tol
+    peripheral_mask = moduli > 1.0 - tol.PERIPHERAL_TOL
+    one_mask = np.abs(spectrum - 1.0) <= tol.CLUSTER_TOL
     multiplicity = int(one_mask.sum())
     if multiplicity == 0:
         raise InternalInconsistencyError(
@@ -121,8 +105,8 @@ def analyze(
     kappa = float(non_peripheral.max()) if non_peripheral.size else 0.0
 
     near_boundary = bool(
-        np.any((np.abs(spectrum - 1.0) > cluster_tol) & (np.abs(spectrum - 1.0) <= 10 * cluster_tol))
-        or np.any((moduli <= 1.0 - peripheral_tol) & (moduli > 1.0 - 10 * peripheral_tol))
+        np.any((np.abs(spectrum - 1.0) > tol.CLUSTER_TOL) & (np.abs(spectrum - 1.0) <= 10 * tol.CLUSTER_TOL))
+        or np.any((moduli <= 1.0 - tol.PERIPHERAL_TOL) & (moduli > 1.0 - 10 * tol.PERIPHERAL_TOL))
     )
 
     if multiplicity > 1:
@@ -137,7 +121,12 @@ def analyze(
     one_indices = np.flatnonzero(one_mask)
     if multiplicity == 1:
         theta = unvec(system.eigenvectors[:, one_indices[0]])
-        dm = _fixed_point_from_simple_eigenvector(theta)
+        dm = _density_from_candidate(theta, tol.FIXED_POINT_PSD_TOL)
+        if dm is None:
+            raise InternalInconsistencyError(
+                "eigenvalue-1 eigenvector is traceless or not PSD after Hermitization "
+                "although the eigenvalue-1 multiplicity is 1"
+            )
         fixed_points.append(dm)
         basis.append(dm.matrix)
     else:
@@ -150,7 +139,7 @@ def analyze(
             if norm > 0:
                 pick = pick / norm
             basis.append(pick)
-            dm = _try_density(pick)
+            dm = _density_from_candidate(pick, tol.PSD_CLIP)
             if dm is not None:
                 fixed_points.append(dm)
 
@@ -162,7 +151,7 @@ def analyze(
     )
 
     return SpectralReport(
-        dim=dim,
+        dim=c.dim,
         spectrum=spectrum,
         peripheral=spectrum[peripheral_mask],
         kappa=kappa,
@@ -174,6 +163,8 @@ def analyze(
         peripheral_eigenvectors=peripheral_vectors,
         near_cluster_boundary=near_boundary,
         max_residual=system.residual,
+        channel=c,
+        superoperator=s,
     )
 
 
@@ -206,7 +197,7 @@ def convergence_bound(report: SpectralReport, n: int, c_n: float) -> float:
     return float(c_n) * float(n**report.dim) * float(report.kappa**n)
 
 
-def calibrate_speed_constant(c: KrausChannel, report: SpectralReport, rho0: DensityMatrix) -> float:
+def calibrate_speed_constant(report: SpectralReport, rho0: DensityMatrix) -> float:
     """Fix the bound constant from the first orbit step.
 
     Returns the measured distance after one step divided by the bound
@@ -221,7 +212,7 @@ def calibrate_speed_constant(c: KrausChannel, report: SpectralReport, rho0: Dens
             "no finite constant reproduces the first step"
         )
     fixed = report.fixed_points[0]
-    d1 = opalg.trace_norm(apply(c, rho0).matrix - fixed.matrix)
+    d1 = opalg.trace_norm(apply(report.channel, rho0).matrix - fixed.matrix)
     return d1 / report.kappa
 
 
@@ -242,7 +233,7 @@ def default_fit_window(dim: int) -> tuple[int, int]:
 
 
 def estimate_rate(
-    c: KrausChannel,
+    report: SpectralReport,
     rho0: DensityMatrix,
     n_min: int | None = None,
     n_max: int | None = None,
@@ -253,13 +244,11 @@ def estimate_rate(
     ``DISTANCE_FLOOR`` are dropped from the fit; if fewer than two points
     remain the window is unusable and a diagnostic error is raised.
     """
-    s = to_superoperator(c)
-    report = analyze(s)
     if report.verdict != VERDICT_MIXING:
         raise ValueError(f"rate estimation requires a mixing channel, verdict is {report.verdict}")
     if report.kappa <= tol.DISTANCE_FLOOR:
         raise ValueError("kappa is zero: the orbit converges in finitely many steps; no rate to fit")
-    lo, hi = default_fit_window(c.dim)
+    lo, hi = default_fit_window(report.dim)
     if n_min is not None:
         lo = n_min
     if n_max is not None:
@@ -270,7 +259,7 @@ def estimate_rate(
     v = vec(rho0.matrix)
     points = []
     for n in range(1, hi + 1):
-        v = s.matrix @ v
+        v = report.superoperator.matrix @ v
         if n < lo:
             continue
         dist = opalg.trace_norm(unvec(v - fixed_vec))
@@ -326,7 +315,7 @@ class NormalityRecord:
     defect: float
 
 
-def peripheral_normality_check(c: KrausChannel, report: SpectralReport) -> list[NormalityRecord]:
+def peripheral_normality_check(report: SpectralReport) -> list[NormalityRecord]:
     """Normality defect ``max|Theta Theta^dag - Theta^dag Theta|`` per peripheral eigenvector.
 
     For ergodic channels every peripheral eigenvector is a normal
@@ -343,7 +332,7 @@ def peripheral_normality_check(c: KrausChannel, report: SpectralReport) -> list[
 
 
 def polar_fixed_point(
-    c: KrausChannel, theta, eigenvalue: complex
+    report: SpectralReport, theta, eigenvalue: complex
 ) -> tuple[DensityMatrix, DensityMatrix]:
     """Fixed points reconstructed from a peripheral eigenvector.
 
@@ -353,16 +342,15 @@ def polar_fixed_point(
     returned after verifying fixedness within ``FIXED_POINT_RESIDUAL_TOL``.
     """
     theta = opalg.as_matrix(theta, square=True, name="peripheral eigenvector")
-    if theta.shape != (c.dim, c.dim):
-        raise ValueError(f"eigenvector shape {theta.shape} does not match channel dim {c.dim}")
+    if theta.shape != (report.dim, report.dim):
+        raise ValueError(f"eigenvector shape {theta.shape} does not match channel dim {report.dim}")
     if abs(eigenvalue) < 1.0 - tol.PERIPHERAL_TOL:
         raise ValueError(f"eigenvalue {eigenvalue} is not peripheral")
     norm = np.linalg.norm(theta)
     if norm < 1e-12:
         raise ValueError("eigenvector is (near-)zero")
     theta = theta / norm
-    s = to_superoperator(c)
-    residual = float(np.linalg.norm(s.matrix @ vec(theta) - eigenvalue * vec(theta)))
+    residual = float(np.linalg.norm(report.superoperator.matrix @ vec(theta) - eigenvalue * vec(theta)))
     if residual > tol.FIXED_POINT_RESIDUAL_TOL:
         raise ValueError(
             f"(theta, eigenvalue) is not an eigenpair of the superoperator: residual {residual:.3e}"
@@ -373,7 +361,7 @@ def polar_fixed_point(
     rho = DensityMatrix(opalg.psd_sqrt(theta @ theta.conj().T) / g)
     sigma = DensityMatrix(opalg.psd_sqrt(theta.conj().T @ theta) / g)
     for dm in (rho, sigma):
-        defect = opalg.trace_norm(apply(c, dm).matrix - dm.matrix)
+        defect = opalg.trace_norm(apply(report.channel, dm).matrix - dm.matrix)
         if defect > tol.FIXED_POINT_RESIDUAL_TOL:
             raise InternalInconsistencyError(
                 f"polar reconstruction is not fixed: ||tau(rho) - rho||_1 = {defect:.3e}"

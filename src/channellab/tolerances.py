@@ -6,7 +6,6 @@ precision complex.
 """
 
 # --- generic linear algebra -------------------------------------------------
-EIG_RESIDUAL = 1e-9          # eigensolver residual gate on well-conditioned input
 HERMITICITY_TOL = 1e-9       # max-norm Hermiticity defect accepted before symmetrizing
 PSD_CLIP = 1e-9              # negative eigenvalues above -PSD_CLIP are clipped to zero
 PSD_REJECT = 1e-6            # eigenvalues below -PSD_REJECT mean the input is not PSD
@@ -16,10 +15,10 @@ SUPPORT_TOL = 1e-10          # eigenvalues <= SUPPORT_TOL count as kernel (log /
 TRACE_TOL = 1e-9             # unit-trace defect accepted for density matrices
 KRAUS_COMPLETENESS_TOL = 1e-8   # max-norm defect of sum(K^dag K) = I
 CHOI_PSD_TOL = 1e-8          # min Choi eigenvalue >= -CHOI_PSD_TOL (complete positivity)
-SUPEROP_ACTION_TOL = 1e-10   # superoperator action vs direct Kraus application
 SPECTRAL_RADIUS_TOL = 1e-7   # superoperator spectral radius may exceed 1 by at most this
 UNITARITY_TOL = 1e-9         # max-norm defect of U^dag U = I
 BATH_NORM_TOL = 1e-12        # bath vector norm defect
+UNITAL_TOL = 1e-9            # max-norm defect of tau(I) = I for a unital channel
 
 # --- spectral classification --------------------------------------------------
 PERIPHERAL_TOL = 1e-7        # |lambda| > 1 - PERIPHERAL_TOL makes an eigenvalue peripheral

@@ -260,21 +260,11 @@ def build(spec: ChannelSpec) -> KrausChannel:
 
 def build_named(name: str, dim: int | None = None, **params) -> KrausChannel:
     """Build a channel by name, e.g. ``build_named("depolarizing", p=0.5)``."""
-    known_dims = {
-        "example-ergodic": 2,
-        "example-mixing": 3,
-        "depolarizing": 2,
-        "amplitude-damping": 2,
-        "dephasing": 2,
-        "unitary": 2,
-        "partial-swap-dilation": 2,
-        "cz-dilation": 2,
-    }
     if dim is None:
-        dim = known_dims.get(name)
+        if name == "random":
+            raise ValueError("random channels need an explicit dim")
+        dim = next((spec.dim for spec in catalog() if spec.name == name), None)
         if dim is None:
-            if name == "random":
-                raise ValueError("random channels need an explicit dim")
             raise ValueError(f"unknown channel name {name!r}")
     spec = ChannelSpec(name, dim, dict(params), expected_verdict=None, provenance=PROVENANCE_RANDOM)
     return build(spec)

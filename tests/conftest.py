@@ -22,14 +22,14 @@ def zoo_entries():
 @pytest.fixture(scope="session")
 def spectral_reports(zoo_entries):
     """Label -> SpectralReport for every catalog entry."""
-    return {spec.label: analyze(to_superoperator(c)) for spec, c in zoo_entries}
+    return {spec.label: analyze(c) for spec, c in zoo_entries}
 
 
 @pytest.fixture(scope="session")
 def oracle_results(zoo_entries):
     """Label -> brute-force orbit oracle result at the acceptance horizon."""
     return {
-        spec.label: orbit_oracle(c, n_max=2000, tol_distance=1e-8, seed=0)
+        spec.label: orbit_oracle(to_superoperator(c), n_max=2000, tol_distance=1e-8, seed=0)
         for spec, c in zoo_entries
     }
 

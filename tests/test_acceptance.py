@@ -72,7 +72,7 @@ def test_criterion_01_population_flip_oscillates_between_basis_states(spectral_r
     _multiset_close(report.peripheral, [1.0, -1.0], 1e-8)
     assert np.abs(report.fixed_points[0].matrix - np.eye(2) / 2.0).max() <= 1e-9
 
-    trace = orbit(example_ergodic_channel(), DensityMatrix.basis_state(2, 0), 8)
+    trace = orbit(analyze(example_ergodic_channel()), DensityMatrix.basis_state(2, 0), 8)
     ground = DensityMatrix.basis_state(2, 0).matrix
     excited = DensityMatrix.basis_state(2, 1).matrix
     for k, state in enumerate(trace.states):
@@ -119,10 +119,10 @@ def test_criterion_04_depolarizing_rate_fit_and_calibrated_bound(spectral_report
         kappa = 1.0 - p
         rho0 = DensityMatrix.basis_state(2, 0)
 
-        estimate = estimate_rate(c, rho0, n_min=5, n_max=30)
+        estimate = estimate_rate(report, rho0, n_min=5, n_max=30)
         assert abs(estimate.empirical_rate - kappa) <= 0.05 * kappa, p
 
-        c1 = calibrate_speed_constant(c, report, rho0)
+        c1 = calibrate_speed_constant(report, rho0)
         s = to_superoperator(c)
         fixed_vec = vec(report.fixed_points[0].matrix)
         v = vec(rho0.matrix)
@@ -204,7 +204,7 @@ def test_criterion_06_entropy_production_on_unital_channels(zoo_entries, spectra
         checked += 1
         mixing = spectral_reports[spec.label].verdict == VERDICT_MIXING
         for idx, rho in enumerate(probe_states(channel.dim, seed=0)):
-            trace = orbit(channel, rho, 100, (FUNCTIONAL_VON_NEUMANN,))
+            trace = orbit(spectral_reports[spec.label], rho, 100, (FUNCTIONAL_VON_NEUMANN,))
             values = trace.functional_values[FUNCTIONAL_VON_NEUMANN]
             decreases = max(a - b for a, b in zip(values, values[1:]))
             assert decreases <= 1e-9, (spec.label, idx)
@@ -229,21 +229,21 @@ def test_criterion_08_polar_reconstruction_recovers_fixed_points(zoo_entries, sp
     # golden case: the spin operator is a peripheral eigenvector of the
     # population flip and both polar factors collapse to I/2
     flip = example_ergodic_channel()
-    rho, sigma = polar_fixed_point(flip, PAULI_Z, -1.0)
+    rho, sigma = polar_fixed_point(analyze(flip), PAULI_Z, -1.0)
     for dm in (rho, sigma):
         assert np.abs(dm.matrix - np.eye(2) / 2.0).max() <= 1e-9
         assert trace_norm(apply(flip, dm).matrix - dm.matrix) <= 1e-9
 
-    for spec, channel in zoo_entries:
+    for spec, _ in zoo_entries:
         report = spectral_reports[spec.label]
         if report.verdict == VERDICT_NOT_ERGODIC:
             continue
         fixed = report.fixed_points[0].matrix
         for lam, theta in zip(report.peripheral, report.peripheral_eigenvectors):
-            left, right = polar_fixed_point(channel, theta, lam)
+            left, right = polar_fixed_point(report, theta, lam)
             assert np.abs(left.matrix - fixed).max() <= 1e-7, (spec.label, lam)
             assert np.abs(right.matrix - fixed).max() <= 1e-7, (spec.label, lam)
-        for record in peripheral_normality_check(channel, report):
+        for record in peripheral_normality_check(report):
             assert record.defect <= 1e-7, (spec.label, record.eigenvalue)
 
 
@@ -252,7 +252,7 @@ def test_criterion_09_cesaro_average_converges_at_one_over_n():
     rho0 = DensityMatrix.basis_state(2, 0)
     mixed = np.eye(2) / 2.0
     for n in (99, 999, 9999, 10, 100, 1000, 10000):
-        distance = trace_norm(cesaro_average(c, rho0, n).matrix - mixed)
+        distance = trace_norm(cesaro_average(to_superoperator(c), rho0, n).matrix - mixed)
         assert distance <= 2.0 / (n + 1), n
 
 
@@ -274,7 +274,7 @@ def test_criterion_10_factorizing_eigenstate_count_decides_mixing():
     assert fact.count == 2
     assert fact.verdict == VERDICT_NOT_ERGODIC
     cz_channel = from_stinespring(cz_instance.dilation)
-    report = analyze(to_superoperator(cz_channel))
+    report = analyze(cz_channel)
     assert report.eigenvalue_one_multiplicity >= 2
     for nu in fact.states:
         projector = DensityMatrix.pure(nu)
@@ -313,8 +313,8 @@ def test_criterion_12_gauge_rotation_invariance_and_cli_byte_determinism(capsys,
         ]
         rotated = KrausChannel(c.dim, rotated_ops)
         assert validate_cpt(rotated).passed
-        before = analyze(to_superoperator(c))
-        after = analyze(to_superoperator(rotated))
+        before = analyze(c)
+        after = analyze(rotated)
         assert after.verdict == before.verdict
         assert abs(after.kappa - before.kappa) <= 1e-8
         _multiset_close(after.spectrum, before.spectrum, 1e-8)

@@ -22,10 +22,12 @@ from channellab import (
     to_superoperator,
     validate_cpt,
 )
-from channellab.channel import Superoperator, unvec, vec
+from channellab.channel import Superoperator, apply_raw, unvec, vec
 from channellab.zoo import (
     SWAP,
+    build,
     build_named,
+    catalog,
     cz_dilation,
     example_ergodic_channel,
     example_mixing_channel,
@@ -130,6 +132,17 @@ class TestAction:
             via_kraus = apply(c, rho).matrix
             via_matrix = unvec(s.matrix @ vec(rho.matrix))
             assert np.abs(via_kraus - via_matrix).max() <= 1e-12
+        # column (j, i) of S is vec(tau(E_ij)) for every matrix unit E_ij
+        cycle = KrausChannel(5, [np.outer(np.eye(5)[(j + 1) % 5], np.eye(5)[j]) for j in range(5)])
+        for c in [build(spec) for spec in catalog()] + [cycle]:
+            s = to_superoperator(c)
+            d = c.dim
+            for col in range(d):
+                for row in range(d):
+                    unit = np.zeros((d, d), dtype=complex)
+                    unit[row, col] = 1.0
+                    column = s.matrix[:, col * d + row]
+                    assert np.abs(column - vec(apply_raw(c, unit))).max() <= 1e-12, (c.label, row, col)
 
     def test_superoperator_spectrum_example_ergodic(self):
         s = to_superoperator(example_ergodic_channel())

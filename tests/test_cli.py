@@ -1,11 +1,14 @@
 """Command-line interface: payload schemas, exit codes, and byte determinism."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import channellab
+from channellab import dilation, spectral
+from channellab.channel import Superoperator
 from channellab.cli import main
 from channellab.jsonutil import matrix_to_json
 
@@ -255,6 +258,52 @@ class TestDilation:
         rc, out, err = run_cli(capsys, ["dilation", str(path)])
         assert rc == 2
         assert "commutator" in err
+
+
+def count_calls(monkeypatch, owner, name):
+    """Count calls to ``owner.name``, including through imported bindings in channellab."""
+    func = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return func(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "channellab" and getattr(module, name, None) is func:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOneBuildPerRequest:
+    """A request builds the superoperator and the spectral report once and passes them on."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--oracle", "--nmax", "100"],
+            ["orbit", "--state", "basis:1", "--n", "5", "--functionals", "trivial,relative_entropy"],
+            ["cesaro", "--state", "basis:1", "--n", "100"],
+        ],
+        ids=["classify-oracle", "orbit", "cesaro"],
+    )
+    def test_channel_commands(self, capsys, tmp_path, monkeypatch, argv):
+        path = emit_to_file(capsys, tmp_path, ["amplitude-damping", "--param", "gamma=0.3"], "damp.json")
+        builds = count_calls(monkeypatch, Superoperator, "__post_init__")
+        analyses = count_calls(monkeypatch, spectral, "analyze")
+        rc, out, err = run_cli(capsys, [argv[0], path, *argv[1:]])
+        assert rc == 0, err
+        assert (len(builds), len(analyses)) == (1, 1)
+
+    def test_dilation_searches_factorizing_eigenstates_once(self, capsys, tmp_path, monkeypatch):
+        path = emit_to_file(capsys, tmp_path, ["partial-swap-dilation", "--instance"], "pswap.json")
+        builds = count_calls(monkeypatch, Superoperator, "__post_init__")
+        analyses = count_calls(monkeypatch, spectral, "analyze")
+        searches = count_calls(monkeypatch, dilation, "find_factorizing_eigenstates")
+        rc, out, err = run_cli(capsys, ["dilation", path])
+        assert rc == 0, err
+        assert (len(builds), len(analyses), len(searches)) == (1, 1, 1)
 
 
 class TestZooCommands:

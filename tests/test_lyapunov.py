@@ -9,6 +9,7 @@ from channellab import (
     DensityMatrix,
     HypothesisViolation,
     KrausChannel,
+    analyze,
     apply,
     asymptotic_deformation_estimate,
     cesaro_average,
@@ -17,6 +18,7 @@ from channellab import (
     orbit_oracle,
     probe_states,
     relative_entropy,
+    to_superoperator,
     trivial_lyapunov,
     verify_generalized_lyapunov,
     von_neumann_entropy,
@@ -83,7 +85,7 @@ class TestProbeStates:
 
 class TestOrbit:
     def test_population_flip_alternates(self):
-        trace = orbit(example_ergodic_channel(), GROUND_2, 4, (FUNCTIONAL_TRIVIAL,))
+        trace = orbit(analyze(example_ergodic_channel()), GROUND_2, 4, (FUNCTIONAL_TRIVIAL,))
         assert trace.n_steps == 4
         assert len(trace.states) == 5
         for k, state in enumerate(trace.states):
@@ -93,7 +95,7 @@ class TestOrbit:
         assert all(v == pytest.approx(1.0, abs=1e-12) for v in trace.functional_values["trivial"])
 
     def test_shift_channel_absorbs_in_two_steps(self):
-        trace = orbit(example_mixing_channel(), DensityMatrix.basis_state(3, 2), 3, (FUNCTIONAL_TRIVIAL,))
+        trace = orbit(analyze(example_mixing_channel()), DensityMatrix.basis_state(3, 2), 3, (FUNCTIONAL_TRIVIAL,))
         values = trace.functional_values["trivial"]
         assert values[0] == pytest.approx(2.0, abs=1e-12)
         assert values[1] == pytest.approx(2.0, abs=1e-12)
@@ -102,27 +104,27 @@ class TestOrbit:
 
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError, match="n must be >= 1"):
-            orbit(example_ergodic_channel(), GROUND_2, 0)
+            orbit(analyze(example_ergodic_channel()), GROUND_2, 0)
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            orbit(example_ergodic_channel(), DensityMatrix.basis_state(3, 0), 2)
+            orbit(analyze(example_ergodic_channel()), DensityMatrix.basis_state(3, 0), 2)
 
     def test_rejects_unknown_functional(self):
         with pytest.raises(ValueError, match="unknown functional"):
-            orbit(example_ergodic_channel(), GROUND_2, 2, ("entropy",))
+            orbit(analyze(example_ergodic_channel()), GROUND_2, 2, ("entropy",))
 
     def test_fixed_point_functionals_need_unique_fixed_point(self):
         c = build_named("dephasing", p=0.3)
         with pytest.raises(HypothesisViolation):
-            orbit(c, GROUND_2, 2, (FUNCTIONAL_TRIVIAL,))
+            orbit(analyze(c), GROUND_2, 2, (FUNCTIONAL_TRIVIAL,))
 
 
 class TestVerify:
     def test_depolarizing_relative_entropy_is_strict_monotone(self):
         c = build_named("depolarizing", p=0.5)
         verdict = verify_generalized_lyapunov(
-            c, FUNCTIONAL_RELATIVE_ENTROPY, probe_states(2), 30
+            analyze(c), FUNCTIONAL_RELATIVE_ENTROPY, probe_states(2), 30
         )
         assert verdict.is_generalized_lyapunov_evidence
         assert verdict.monotone_defect <= 1e-9
@@ -130,13 +132,13 @@ class TestVerify:
 
     def test_depolarizing_trivial_is_strict_monotone(self):
         c = build_named("depolarizing", p=0.25)
-        verdict = verify_generalized_lyapunov(c, FUNCTIONAL_TRIVIAL, probe_states(2), 30)
+        verdict = verify_generalized_lyapunov(analyze(c), FUNCTIONAL_TRIVIAL, probe_states(2), 30)
         assert verdict.is_generalized_lyapunov_evidence
         assert verdict.n_strict == 1
 
     def test_population_flip_distance_never_moves(self):
         verdict = verify_generalized_lyapunov(
-            example_ergodic_channel(), FUNCTIONAL_TRIVIAL, probe_states(2), 20
+            analyze(example_ergodic_channel()), FUNCTIONAL_TRIVIAL, probe_states(2), 20
         )
         assert not verdict.is_generalized_lyapunov_evidence
         assert verdict.monotone_defect <= 1e-12
@@ -144,14 +146,14 @@ class TestVerify:
 
     def test_identity_channel_entropy_gives_no_evidence(self):
         c = KrausChannel(2, [np.eye(2)])
-        verdict = verify_generalized_lyapunov(c, FUNCTIONAL_VON_NEUMANN, probe_states(2), 10)
+        verdict = verify_generalized_lyapunov(analyze(c), FUNCTIONAL_VON_NEUMANN, probe_states(2), 10)
         assert not verdict.is_generalized_lyapunov_evidence
         assert any("fixed point" in note for note in verdict.notes)
         assert any("multiple fixed points" in note for note in verdict.notes)
 
     def test_non_unital_entropy_can_decrease(self):
         c = build_named("amplitude-damping", gamma=0.3)
-        verdict = verify_generalized_lyapunov(c, FUNCTIONAL_VON_NEUMANN, probe_states(2), 40)
+        verdict = verify_generalized_lyapunov(analyze(c), FUNCTIONAL_VON_NEUMANN, probe_states(2), 40)
         assert any("not unital" in note for note in verdict.notes)
         assert verdict.monotone_defect > 1e-6
         assert not verdict.is_generalized_lyapunov_evidence
@@ -159,22 +161,22 @@ class TestVerify:
     def test_relative_entropy_needs_faithful_fixed_point(self):
         with pytest.raises(HypothesisViolation, match="faithful"):
             verify_generalized_lyapunov(
-                example_mixing_channel(), FUNCTIONAL_RELATIVE_ENTROPY, probe_states(3), 10
+                analyze(example_mixing_channel()), FUNCTIONAL_RELATIVE_ENTROPY, probe_states(3), 10
             )
 
     def test_fixed_point_functionals_need_unique_fixed_point(self):
         c = build_named("dephasing", p=0.3)
         with pytest.raises(HypothesisViolation, match="unique fixed point"):
-            verify_generalized_lyapunov(c, FUNCTIONAL_TRIVIAL, probe_states(2), 10)
+            verify_generalized_lyapunov(analyze(c), FUNCTIONAL_TRIVIAL, probe_states(2), 10)
 
     def test_rejects_bad_arguments(self):
-        c = build_named("depolarizing", p=0.5)
+        report = analyze(build_named("depolarizing", p=0.5))
         with pytest.raises(ValueError, match="unknown functional"):
-            verify_generalized_lyapunov(c, "norm", probe_states(2), 10)
+            verify_generalized_lyapunov(report, "norm", probe_states(2), 10)
         with pytest.raises(ValueError, match="n must be >= 1"):
-            verify_generalized_lyapunov(c, FUNCTIONAL_TRIVIAL, probe_states(2), 0)
+            verify_generalized_lyapunov(report, FUNCTIONAL_TRIVIAL, probe_states(2), 0)
         with pytest.raises(ValueError, match="trial state"):
-            verify_generalized_lyapunov(c, FUNCTIONAL_TRIVIAL, [], 10)
+            verify_generalized_lyapunov(report, FUNCTIONAL_TRIVIAL, [], 10)
 
 
 class TestDeformation:
@@ -230,7 +232,7 @@ class TestWeakContraction:
 
 class TestCesaro:
     def test_population_flip_parity(self):
-        c = example_ergodic_channel()
+        c = to_superoperator(example_ergodic_channel())
         # odd n: even term count, the alternation cancels exactly
         avg = cesaro_average(c, GROUND_2, 9)
         assert np.abs(avg.matrix - np.eye(2) / 2.0).max() <= 1e-14
@@ -239,32 +241,33 @@ class TestCesaro:
         assert trace_norm(avg.matrix - np.eye(2) / 2.0) == pytest.approx(1.0 / 11.0, abs=1e-12)
 
     def test_fixed_point_is_invariant(self, zoo_entries, spectral_reports):
-        for spec, channel in zoo_entries:
+        for spec, _ in zoo_entries:
             report = spectral_reports[spec.label]
             if not report.fixed_points:
                 continue
             fixed = report.fixed_points[0]
-            avg = cesaro_average(channel, fixed, 25)
+            avg = cesaro_average(report.superoperator, fixed, 25)
             assert trace_norm(avg.matrix - fixed.matrix) <= 1e-8, spec.label
 
     def test_identity_channel_average_is_input(self):
-        c = KrausChannel(2, [np.eye(2)])
+        s = to_superoperator(KrausChannel(2, [np.eye(2)]))
         rho = random_state(2, seed=8)
-        avg = cesaro_average(c, rho, 17)
+        avg = cesaro_average(s, rho, 17)
         assert np.abs(avg.matrix - rho.matrix).max() <= 1e-12
 
     def test_rejects_zero_terms(self):
         with pytest.raises(ValueError, match="n must be >= 1"):
-            cesaro_average(example_ergodic_channel(), GROUND_2, 0)
+            cesaro_average(to_superoperator(example_ergodic_channel()), GROUND_2, 0)
 
     def test_single_pass_matches_separate_averages(self):
         horizons = (1, 10, 100, 1000)
         for c in (example_ergodic_channel(), build_named("random", dim=3, kraus_rank=2, seed=5)):
+            s = to_superoperator(c)
             rho0 = DensityMatrix.basis_state(c.dim, 0)
-            averages = cesaro_averages(c, rho0, horizons)
+            averages = cesaro_averages(s, rho0, horizons)
             assert sorted(averages) == list(horizons)
             for n in horizons:
-                assert np.array_equal(averages[n].matrix, cesaro_average(c, rho0, n).matrix), n
+                assert np.array_equal(averages[n].matrix, cesaro_average(s, rho0, n).matrix), n
 
     def test_one_over_n_decay_across_ergodic_catalog(self, zoo_entries, spectral_reports):
         # calibrate C from n=100, then the distance at larger n must track
@@ -275,27 +278,27 @@ class TestCesaro:
                 continue
             fixed = report.fixed_points[0].matrix
             rho0 = DensityMatrix.basis_state(channel.dim, 0)
-            d100 = trace_norm(cesaro_average(channel, rho0, 100).matrix - fixed)
+            d100 = trace_norm(cesaro_average(report.superoperator, rho0, 100).matrix - fixed)
             c_fit = 101.0 * d100
             for n in (1000, 10000):
-                d_n = trace_norm(cesaro_average(channel, rho0, n).matrix - fixed)
+                d_n = trace_norm(cesaro_average(report.superoperator, rho0, n).matrix - fixed)
                 assert d_n <= 1.05 * c_fit / (n + 1) + 1e-12, (spec.label, n)
 
 
 class TestOracle:
     def test_rejects_short_horizon(self):
         with pytest.raises(ValueError, match="n_max"):
-            orbit_oracle(build_named("depolarizing", p=0.5), n_max=99)
+            orbit_oracle(to_superoperator(build_named("depolarizing", p=0.5)), n_max=99)
 
     def test_depolarizing_is_mixing(self):
-        result = orbit_oracle(build_named("depolarizing", p=0.5), n_max=100)
+        result = orbit_oracle(to_superoperator(build_named("depolarizing", p=0.5)), n_max=100)
         assert result.verdict == ORACLE_MIXING
         assert result.final_max_distance < 1e-8
         assert result.n_probes == 2 + 11
         assert result.trailing_window == 10
 
     def test_population_flip_never_settles(self):
-        result = orbit_oracle(example_ergodic_channel(), n_max=100)
+        result = orbit_oracle(to_superoperator(example_ergodic_channel()), n_max=100)
         assert result.verdict == ORACLE_NOT_MIXING
         assert result.trailing_max_distance > 1.0  # orthogonal probes keep oscillating
 

@@ -15,42 +15,6 @@ def _random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _char_poly_roots_3x3(a):
-    """Eigenvalues of a 3x3 matrix via its characteristic polynomial."""
-    c2 = np.trace(a)
-    c1 = (np.trace(a) ** 2 - np.trace(a @ a)) / 2.0
-    c0 = np.linalg.det(a)
-    return np.roots([1.0, -c2, c1, -c0])
-
-
-class TestHermitianEig:
-    def test_matches_characteristic_polynomial_roots(self):
-        a = np.array(
-            [
-                [2.0, 1.0 - 0.5j, 0.25j],
-                [1.0 + 0.5j, -1.0, 0.75],
-                [-0.25j, 0.75, 0.5],
-            ]
-        )
-        system = opalg.hermitian_eig(a)
-        oracle = np.sort(_char_poly_roots_3x3(a).real)
-        assert np.allclose(system.eigenvalues, oracle, atol=1e-9)
-        assert system.residual <= 1e-12
-        assert np.all(np.diff(system.eigenvalues) >= 0)
-
-    def test_eigenvectors_reconstruct(self):
-        rng = np.random.default_rng(5)
-        g = _random_complex(rng, 4, 4)
-        a = g + g.conj().T
-        system = opalg.hermitian_eig(a)
-        rebuilt = (system.eigenvectors * system.eigenvalues) @ system.eigenvectors.conj().T
-        assert np.abs(rebuilt - a).max() <= 1e-12
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            opalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 class TestGeneralEig:
     def test_nilpotent(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -173,21 +137,6 @@ class TestDecompositions:
     def test_psd_sqrt_rejects_indefinite(self):
         with pytest.raises(ValueError, match="non-PSD"):
             opalg.psd_sqrt(np.diag([1.0, -1.0]))
-
-    def test_log_on_support(self):
-        a = np.diag([2.0, 0.5, 0.0])
-        logm, projector = opalg.log_on_support(a)
-        assert np.allclose(np.diag(logm), [np.log(2.0), np.log(0.5), 0.0], atol=1e-12)
-        assert np.allclose(np.diag(projector), [1.0, 1.0, 0.0], atol=1e-12)
-
-    def test_polar_left(self):
-        rng = np.random.default_rng(13)
-        a = _random_complex(rng, 3, 3)
-        p, u = opalg.polar_left(a)
-        assert np.abs(p @ u - a).max() <= 1e-12
-        assert opalg.hermiticity_defect(p) <= 1e-12
-        assert np.min(np.linalg.eigvalsh(p)) >= -1e-12
-        assert np.abs(u @ u.conj().T - np.eye(3)).max() <= 1e-12
 
 
 class TestTensorOps:

@@ -18,7 +18,6 @@ from channellab import (
     peripheral_normality_check,
     polar_fixed_point,
     purely_ergodic_shortcut,
-    to_superoperator,
 )
 from channellab.opalg import trace_norm
 from channellab.spectral import default_fit_window, report_to_payload
@@ -125,25 +124,22 @@ class TestConvergenceBound:
 class TestCalibration:
     def test_depolarizing_first_step_constant(self, spectral_reports):
         p = 0.25
-        c = build_named("depolarizing", p=p)
         report = spectral_reports[f"depolarizing(p={p})"]
         rho0 = DensityMatrix.basis_state(2, 0)
         # one step moves |0><0| to distance (1-p) from I/2, so c1 = d1/kappa = 1
-        c1 = calibrate_speed_constant(c, report, rho0)
+        c1 = calibrate_speed_constant(report, rho0)
         assert c1 == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_zero_kappa(self, spectral_reports):
-        c = build_named("example-mixing")
         with pytest.raises(ValueError, match="finite-step"):
             calibrate_speed_constant(
-                c, spectral_reports["example-mixing"], DensityMatrix.basis_state(3, 2)
+                spectral_reports["example-mixing"], DensityMatrix.basis_state(3, 2)
             )
 
     def test_rejects_non_mixing(self, spectral_reports):
-        c = example_ergodic_channel()
         with pytest.raises(ValueError, match="mixing"):
             calibrate_speed_constant(
-                c, spectral_reports["example-ergodic"], DensityMatrix.basis_state(2, 0)
+                spectral_reports["example-ergodic"], DensityMatrix.basis_state(2, 0)
             )
 
 
@@ -152,7 +148,7 @@ class TestRateEstimation:
         # the orbit from |0><0| decays exactly like kappa^n; cut the window
         # at n=30 so the distances stay far above floating-point noise
         c = build_named("depolarizing", p=0.5)
-        estimate = estimate_rate(c, DensityMatrix.basis_state(2, 0), n_min=5, n_max=30)
+        estimate = estimate_rate(analyze(c), DensityMatrix.basis_state(2, 0), n_min=5, n_max=30)
         assert estimate.kappa == pytest.approx(0.5, abs=1e-10)
         assert estimate.empirical_rate == pytest.approx(0.5, abs=1e-6)
         assert estimate.fit_residual <= 1e-5
@@ -161,7 +157,7 @@ class TestRateEstimation:
         # a state with coherences excites the slowest mode (decay kappa^n)
         c = build_named("amplitude-damping", gamma=0.3)
         plus = DensityMatrix.pure(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        estimate = estimate_rate(c, plus)
+        estimate = estimate_rate(analyze(c), plus)
         assert estimate.n_range == default_fit_window(2)
         assert abs(estimate.empirical_rate - estimate.kappa) <= 0.05 * estimate.kappa
 
@@ -169,24 +165,24 @@ class TestRateEstimation:
         # from |1><1| the orbit has no coherences, so the visible decay is
         # the population mode (1 - gamma)^n, strictly faster than kappa^n
         c = build_named("amplitude-damping", gamma=0.3)
-        estimate = estimate_rate(c, DensityMatrix.basis_state(2, 1))
+        estimate = estimate_rate(analyze(c), DensityMatrix.basis_state(2, 1))
         assert estimate.empirical_rate == pytest.approx(0.7, abs=1e-6)
 
     def test_rejects_finite_step_convergence(self):
         c = build_named("example-mixing")
         with pytest.raises(ValueError, match="finitely many steps"):
-            estimate_rate(c, DensityMatrix.basis_state(3, 2))
+            estimate_rate(analyze(c), DensityMatrix.basis_state(3, 2))
 
     def test_rejects_bad_window(self):
         c = build_named("depolarizing", p=0.5)
         with pytest.raises(ValueError, match="window"):
-            estimate_rate(c, DensityMatrix.basis_state(2, 0), n_min=10, n_max=10)
+            estimate_rate(analyze(c), DensityMatrix.basis_state(2, 0), n_min=10, n_max=10)
 
     def test_rejects_converged_window(self):
         # far beyond the horizon where distances hit the floor
         c = build_named("depolarizing", p=0.5)
         with pytest.raises(ValueError, match="usable distances"):
-            estimate_rate(c, DensityMatrix.basis_state(2, 0), n_min=200, n_max=260)
+            estimate_rate(analyze(c), DensityMatrix.basis_state(2, 0), n_min=200, n_max=260)
 
 
 class TestShortcut:
@@ -210,53 +206,51 @@ class TestShortcut:
 
 class TestPeripheralStructure:
     def test_population_flip_peripheral_vectors_normal(self, spectral_reports):
-        c = example_ergodic_channel()
-        records = peripheral_normality_check(c, spectral_reports["example-ergodic"])
+        records = peripheral_normality_check(spectral_reports["example-ergodic"])
         assert len(records) == 2
         for record in records:
             assert record.defect <= 1e-9
 
     def test_ergodic_catalog_channels_have_normal_peripherals(self, zoo_entries, spectral_reports):
-        for spec, channel in zoo_entries:
+        for spec, _ in zoo_entries:
             report = spectral_reports[spec.label]
             if report.verdict == VERDICT_NOT_ERGODIC:
                 continue
-            for record in peripheral_normality_check(channel, report):
+            for record in peripheral_normality_check(report):
                 assert record.defect <= 1e-8, spec.label
 
     def test_rejects_degenerate_fixed_space(self, spectral_reports):
-        c = build_named("dephasing", p=0.3)
         with pytest.raises(ValueError, match="ergodic"):
-            peripheral_normality_check(c, spectral_reports["dephasing(p=0.3)"])
+            peripheral_normality_check(spectral_reports["dephasing(p=0.3)"])
 
 
 class TestPolarFixedPoint:
     def test_spin_flip_eigenvector_reconstructs_maximally_mixed(self):
         # the population flip sends sigma_z -> -sigma_z; both polar factors are I/2
         c = example_ergodic_channel()
-        rho, sigma = polar_fixed_point(c, PAULI_Z, -1.0)
+        rho, sigma = polar_fixed_point(analyze(c), PAULI_Z, -1.0)
         assert np.abs(rho.matrix - np.eye(2) / 2.0).max() <= 1e-10
         assert np.abs(sigma.matrix - np.eye(2) / 2.0).max() <= 1e-10
 
     def test_unit_eigenvalue_returns_unique_fixed_point(self, zoo_entries, spectral_reports):
-        for spec, channel in zoo_entries:
+        for spec, _ in zoo_entries:
             report = spectral_reports[spec.label]
             if report.verdict == VERDICT_NOT_ERGODIC:
                 continue
             fixed = report.fixed_points[0].matrix
-            rho, sigma = polar_fixed_point(channel, fixed, 1.0)
+            rho, sigma = polar_fixed_point(report, fixed, 1.0)
             assert np.abs(rho.matrix - fixed).max() <= 1e-8, spec.label
             assert np.abs(sigma.matrix - fixed).max() <= 1e-8, spec.label
 
     def test_rejects_non_eigenvector(self):
         c = example_ergodic_channel()
         with pytest.raises(ValueError, match="eigenpair"):
-            polar_fixed_point(c, np.array([[0.0, 1.0], [1.0, 0.0]]), -1.0)
+            polar_fixed_point(analyze(c), np.array([[0.0, 1.0], [1.0, 0.0]]), -1.0)
 
     def test_rejects_non_peripheral_eigenvalue(self):
         c = example_ergodic_channel()
         with pytest.raises(ValueError, match="peripheral"):
-            polar_fixed_point(c, np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0)
+            polar_fixed_point(analyze(c), np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0)
 
 
 class TestPayload:
@@ -287,7 +281,7 @@ class TestPayload:
 def test_analyze_on_identity_channel():
     from channellab import KrausChannel
 
-    report = analyze(to_superoperator(KrausChannel(2, [np.eye(2)])))
+    report = analyze(KrausChannel(2, [np.eye(2)]))
     assert report.verdict == VERDICT_NOT_ERGODIC
     assert report.eigenvalue_one_multiplicity == 4
     assert report.kappa == pytest.approx(0.0, abs=1e-12)

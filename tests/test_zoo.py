@@ -97,12 +97,12 @@ class TestDeterminism:
 
 class TestBuilders:
     def test_depolarizing_zero_is_identity_channel(self):
-        from channellab import DensityMatrix, analyze, apply, to_superoperator
+        from channellab import DensityMatrix, analyze, apply
 
         c = depolarizing_channel(0.0)
         rho = random_state(2, seed=21)
         assert np.abs(apply(c, rho).matrix - rho.matrix).max() <= 1e-12
-        assert analyze(to_superoperator(c)).verdict == VERDICT_NOT_ERGODIC
+        assert analyze(c).verdict == VERDICT_NOT_ERGODIC
 
     def test_unitary_channel_single_kraus(self):
         c = unitary_channel(0.7)
