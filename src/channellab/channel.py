@@ -64,7 +64,7 @@ class DensityMatrix:
     def pure(cls, state_vector) -> "DensityMatrix":
         v = np.asarray(state_vector, dtype=complex).ravel()
         norm = np.linalg.norm(v)
-        if norm < 1e-12:
+        if norm < tol.ZERO_NORM_TOL:
             raise ValueError("state vector has (near-)zero norm")
         v = v / norm
         return cls(np.outer(v, v.conj()))
@@ -190,11 +190,20 @@ def choi_matrix(c: KrausChannel) -> np.ndarray:
 
 
 def validate_cpt(c: KrausChannel) -> ValidationReport:
-    """Check trace preservation and complete positivity; failures are reported, not raised."""
-    gram = sum(k.conj().T @ k for k in c.kraus_ops)
-    completeness_defect = float(np.abs(gram - np.eye(c.dim)).max())
-    choi = choi_matrix(c)
-    min_choi = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2.0).min())
+    """Check trace preservation and complete positivity; failures are reported, not raised.
+
+    Finite Kraus entries can still overflow in the Gram or Choi matrix.  A
+    non-finite Gram matrix reads as an infinite completeness defect and a
+    non-finite Choi matrix as a minimum eigenvalue of ``-inf``, so both
+    checks fail instead of reaching an eigensolver.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = sum(k.conj().T @ k for k in c.kraus_ops)
+        finite_gram = np.isfinite(gram).all()
+        completeness_defect = float(np.abs(gram - np.eye(c.dim)).max()) if finite_gram else np.inf
+        choi = choi_matrix(c)
+        choi = (choi + choi.conj().T) / 2.0
+    min_choi = float(np.linalg.eigvalsh(choi).min()) if np.isfinite(choi).all() else -np.inf
     checks = {
         "completeness": completeness_defect <= tol.KRAUS_COMPLETENESS_TOL,
         "choi_psd": min_choi >= -tol.CHOI_PSD_TOL,
@@ -204,7 +213,9 @@ def validate_cpt(c: KrausChannel) -> ValidationReport:
         messages.append(
             f"sum(K^dag K) deviates from identity by {completeness_defect:.6e} in max norm"
         )
-    if not checks["choi_psd"]:
+    if not np.isfinite(min_choi):
+        messages.append("Choi matrix has non-finite entries (overflow)")
+    elif not checks["choi_psd"]:
         messages.append(f"Choi matrix has eigenvalue {min_choi:.6e} below the PSD tolerance")
     return ValidationReport(completeness_defect, min_choi, checks, tuple(messages))
 
@@ -265,12 +276,15 @@ def compose(c1: KrausChannel, c2: KrausChannel) -> KrausChannel:
     return KrausChannel(c1.dim, ops)
 
 
-def power(c: KrausChannel, n: int) -> Superoperator:
-    """`n`-fold iteration as a superoperator matrix power (no Kraus blow-up)."""
+def power(c: KrausChannel, n: int) -> np.ndarray:
+    """Matrix of the `n`-fold iteration, a superoperator matrix power (no Kraus blow-up).
+
+    The superoperator of `c` passes the spectral-radius gate once; its
+    power is returned as a plain matrix, not gated again.
+    """
     if n < 0:
         raise ValueError("power requires n >= 0")
-    s = to_superoperator(c)
-    return Superoperator(c.dim, np.linalg.matrix_power(s.matrix, n))
+    return np.linalg.matrix_power(to_superoperator(c).matrix, n)
 
 
 def is_unital(c: KrausChannel) -> bool:

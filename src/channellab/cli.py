@@ -34,7 +34,6 @@ from .dilation import (
     cross_validate,
     instance_from_document,
     instance_to_document,
-    validate_conserved,
 )
 from .errors import HypothesisViolation, InternalInconsistencyError
 from .jsonutil import canonical_json, input_digest, json_to_matrix, matrix_to_json, vector_to_json
@@ -213,12 +212,9 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_dilation(args) -> int:
     doc = _load_json(args.file)
-    cd = instance_from_document(doc)
-    report = validate_conserved(cd)
-    if not report.passed:
-        raise HypothesisViolation("; ".join(report.messages))
-    cross = cross_validate(cd)
+    cross = cross_validate(instance_from_document(doc))
     fact = cross.factorizing
+    report = fact.validation
     payload = {
         "validation": {
             "commutator_defect": report.commutator_defect,

@@ -160,6 +160,7 @@ class FactorizingEigenstateReport:
     `states` are the system vectors ``|nu>`` with ``|nu> (x) |phi>`` an
     eigenvector of U; `unitary_eigenvalues` and `residuals` are aligned
     with them.  The induced channel is mixing exactly when `count` is 1.
+    `validation` is the hypothesis check that the search ran first.
     """
 
     count: int
@@ -170,6 +171,7 @@ class FactorizingEigenstateReport:
     n_clusters: int
     max_cluster_size: int
     has_degenerate_cluster: bool
+    validation: ConservedValidationReport = field(repr=False, compare=False)
 
 
 def _cluster_indices(values: np.ndarray, tol_cluster: float) -> list[list[int]]:
@@ -212,7 +214,7 @@ def find_factorizing_eigenstates(cd: ConservedDilation) -> FactorizingEigenstate
     dim_a, dim_b = cd.dim_a, cd.dim_b
     t, q = scipy.linalg.schur(u, output="complex")
     off_diag = float(np.abs(t - np.diag(np.diag(t))).max())
-    if off_diag > 1e-6:
+    if off_diag > tol.UNITARY_SCHUR_TOL:
         raise InternalInconsistencyError(
             f"Schur form of a unitary should be diagonal; off-diagonal magnitude {off_diag:.3e}"
         )
@@ -265,6 +267,7 @@ def find_factorizing_eigenstates(cd: ConservedDilation) -> FactorizingEigenstate
         n_clusters=len(clusters),
         max_cluster_size=max_cluster,
         has_degenerate_cluster=max_cluster > 1,
+        validation=report,
     )
 
 

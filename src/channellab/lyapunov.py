@@ -310,7 +310,7 @@ def asymptotic_deformation_estimate(
     """
     if n < 1:
         raise ValueError("horizon n must be >= 1")
-    s_n = power(c, n).matrix
+    s_n = power(c, n)
     results = []
     for rho, sigma in pairs:
         if rho.dim != c.dim or sigma.dim != c.dim:
@@ -416,9 +416,11 @@ class OracleResult:
     trailing_window: int
 
 
-def _max_pairwise_distance(columns: np.ndarray, dim: int, pair_index: tuple) -> float:
+def _max_pairwise_distance(columns: np.ndarray) -> float:
+    """Largest trace distance between any two vectorized states among `columns`."""
+    dim = math.isqrt(columns.shape[0])
     mats = columns.T.reshape(-1, dim, dim).transpose(0, 2, 1)
-    i_idx, j_idx = pair_index
+    i_idx, j_idx = np.triu_indices(mats.shape[0], k=1)
     diffs = mats[i_idx] - mats[j_idx]
     diffs = (diffs + diffs.conj().transpose(0, 2, 1)) / 2.0
     eigs = np.linalg.eigvalsh(diffs)
@@ -428,9 +430,20 @@ def _max_pairwise_distance(columns: np.ndarray, dim: int, pair_index: tuple) -> 
 def orbit_oracle(s: Superoperator, n_max: int = 2000, tol_distance: float = 1e-8, seed: int = 0) -> OracleResult:
     """Brute-force mixing test by iterating a deterministic probe set under `s`.
 
-    The channel counts as mixing when the maximum pairwise trace distance
-    over all probes is below `tol_distance` at the horizon AND over the
-    trailing 10% of steps (so a transient dip cannot fake convergence).
+    The probes are the d basis states, 10 seeded random pure states and
+    I/d (`probe_states`).  The channel counts as mixing when the maximum
+    pairwise trace distance over all probes is below `tol_distance` both
+    at the horizon `n_max` (`final_max_distance`) and at the first step of
+    the trailing window of ``max(1, n_max // 10)`` steps
+    (`trailing_max_distance`).  Both points are reached by repeated
+    squaring of the matrix of `s`; no step in between is evaluated.
+
+    A quantum channel never increases the trace distance between two
+    states, so the distance at the window's first step is the maximum over
+    the window up to roundoff, and a transient dip cannot fake
+    convergence.  The one limit: a Kraus set that passes validation with a
+    completeness defect up to ``KRAUS_COMPLETENESS_TOL`` is contractive
+    only up to a factor of about ``1 + KRAUS_COMPLETENESS_TOL`` per step.
     Differences of Hermitian probes stay Hermitian, so distances use a
     batched Hermitian eigensolve.  The verdict reads only the matrix of
     `s`, never its spectrum.
@@ -439,18 +452,12 @@ def orbit_oracle(s: Superoperator, n_max: int = 2000, tol_distance: float = 1e-8
         raise ValueError("n_max must be >= 100 for a meaningful horizon")
     probes = probe_states(s.dim, seed=seed)
     columns = np.stack([vec(p.matrix) for p in probes], axis=1)
-    m = len(probes)
-    i_idx, j_idx = np.triu_indices(m, k=1)
-    pair_index = (i_idx, j_idx)
     window = max(1, n_max // 10)
     start = n_max - window + 1
-    trailing: list[float] = []
-    for step in range(1, n_max + 1):
-        columns = s.matrix @ columns
-        if step >= start:
-            trailing.append(_max_pairwise_distance(columns, s.dim, pair_index))
-    final = trailing[-1]
-    trailing_max = max(trailing)
+    at_start = np.linalg.matrix_power(s.matrix, start) @ columns
+    at_end = np.linalg.matrix_power(s.matrix, window - 1) @ at_start
+    trailing_max = _max_pairwise_distance(at_start)
+    final = _max_pairwise_distance(at_end)
     verdict = ORACLE_MIXING if final < tol_distance and trailing_max < tol_distance else ORACLE_NOT_MIXING
     return OracleResult(
         verdict=verdict,
@@ -458,6 +465,6 @@ def orbit_oracle(s: Superoperator, n_max: int = 2000, tol_distance: float = 1e-8
         trailing_max_distance=trailing_max,
         n_max=n_max,
         tol=tol_distance,
-        n_probes=m,
+        n_probes=len(probes),
         trailing_window=window,
     )

@@ -69,7 +69,7 @@ def _density_from_candidate(candidate: np.ndarray, psd_tol: float) -> DensityMat
     has an eigenvalue below ``-psd_tol`` after Hermitization.
     """
     trace = candidate.trace()
-    if abs(trace) < 1e-8:
+    if abs(trace) < tol.TRACELESS_TOL:
         return None
     herm = candidate / trace
     herm = (herm + herm.conj().T) / 2.0
@@ -347,7 +347,7 @@ def polar_fixed_point(
     if abs(eigenvalue) < 1.0 - tol.PERIPHERAL_TOL:
         raise ValueError(f"eigenvalue {eigenvalue} is not peripheral")
     norm = np.linalg.norm(theta)
-    if norm < 1e-12:
+    if norm < tol.ZERO_NORM_TOL:
         raise ValueError("eigenvector is (near-)zero")
     theta = theta / norm
     residual = float(np.linalg.norm(report.superoperator.matrix @ vec(theta) - eigenvalue * vec(theta)))
@@ -356,7 +356,7 @@ def polar_fixed_point(
             f"(theta, eigenvalue) is not an eigenpair of the superoperator: residual {residual:.3e}"
         )
     g = opalg.trace_norm(theta)
-    if g <= 1e-10:
+    if g <= tol.POLAR_TRACE_NORM_TOL:
         raise ValueError("trace norm of the eigenvector is numerically zero")
     rho = DensityMatrix(opalg.psd_sqrt(theta @ theta.conj().T) / g)
     sigma = DensityMatrix(opalg.psd_sqrt(theta.conj().T @ theta) / g)

@@ -18,12 +18,15 @@ CHOI_PSD_TOL = 1e-8          # min Choi eigenvalue >= -CHOI_PSD_TOL (complete po
 SPECTRAL_RADIUS_TOL = 1e-7   # superoperator spectral radius may exceed 1 by at most this
 UNITARITY_TOL = 1e-9         # max-norm defect of U^dag U = I
 BATH_NORM_TOL = 1e-12        # bath vector norm defect
+ZERO_NORM_TOL = 1e-12        # vectors (or vectorized matrices) with 2-norm below this count as zero
 UNITAL_TOL = 1e-9            # max-norm defect of tau(I) = I for a unital channel
 
 # --- spectral classification --------------------------------------------------
 PERIPHERAL_TOL = 1e-7        # |lambda| > 1 - PERIPHERAL_TOL makes an eigenvalue peripheral
 CLUSTER_TOL = 1e-7           # eigenvalues within CLUSTER_TOL of each other form one cluster
 FIXED_POINT_PSD_TOL = 1e-6   # PSD slack allowed when reconstructing the unique fixed point
+TRACELESS_TOL = 1e-8         # fixed-point candidates with |trace| below this count as traceless
+POLAR_TRACE_NORM_TOL = 1e-10 # peripheral eigenvectors with trace norm at or below this count as zero
 FIXED_POINT_RESIDUAL_TOL = 1e-7  # ||tau(rho) - rho||_1 gate for reconstructed fixed points
 PURITY_PURE_TOL = 1e-9       # purity >= 1 - PURITY_PURE_TOL counts as a pure state
 DISTANCE_FLOOR = 1e-13       # orbit distances below this are excluded from rate fits
@@ -42,3 +45,4 @@ EXTREMAL_GAP_TOL = 1e-7      # required gap isolating the extremal bath eigenval
 BATH_EIGEN_RESIDUAL_TOL = 1e-9   # ||mB phi - mu phi||_2 gate for the bath state
 FACTORIZING_SV_TOL = 1e-6    # singular value > 1 - this counts as a factorizing direction
 FACTORIZING_RESIDUAL_TOL = 1e-8  # eigen-residual gate for factorizing product states
+UNITARY_SCHUR_TOL = 1e-6     # max off-diagonal of the Schur form of a dilation unitary (normal, so diagonal)

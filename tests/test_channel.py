@@ -221,8 +221,8 @@ class TestAlgebra:
     def test_power_matches_iteration(self):
         c = _random_kraus_channel(2, 2, 47)
         s = to_superoperator(c)
-        assert np.abs(power(c, 5).matrix - np.linalg.matrix_power(s.matrix, 5)).max() <= 1e-10
-        assert np.abs(power(c, 0).matrix - np.eye(4)).max() <= 1e-12
+        assert np.abs(power(c, 5) - np.linalg.matrix_power(s.matrix, 5)).max() <= 1e-10
+        assert np.abs(power(c, 0) - np.eye(4)).max() <= 1e-12
 
     def test_is_unital(self):
         assert is_unital(build_named("depolarizing", p=0.5))

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,12 @@ def emit_to_file(capsys, tmp_path, argv, filename):
 SUBNORMALIZED_DOC = {
     "dim": 2,
     "kraus": [[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]],
+}
+
+# Finite entries whose Gram and Choi matrices overflow to inf / nan.
+OVERFLOWING_DOC = {
+    "dim": 2,
+    "kraus": [[[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e308, 0.0]]]],
 }
 
 
@@ -66,6 +73,25 @@ class TestValidate:
         assert not report["passed"]
         assert report["completeness_defect"] == pytest.approx(0.75)
         assert json.loads(out)["warnings"]  # failure messages surface as warnings
+
+    @pytest.mark.parametrize("command", ["validate", "classify"])
+    def test_overflowing_entries_fail_validation_cleanly(self, capsys, tmp_path, command):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(OVERFLOWING_DOC))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            rc, out, err = run_cli(capsys, [command, str(path)])
+        assert rc == 2
+        if command == "validate":
+            report = json.loads(out)["report"]
+            assert not report["checks"]["completeness"] and not report["checks"]["choi_psd"]
+            assert report["completeness_defect"] == "inf"
+            assert report["min_choi_eigenvalue"] == "-inf"
+            assert err == ""
+        else:
+            assert out == ""
+            assert err.count("\n") == 1
+            assert err.startswith("invalid input: channel failed validation:")
 
 
 class TestInputErrors:
@@ -301,9 +327,11 @@ class TestOneBuildPerRequest:
         builds = count_calls(monkeypatch, Superoperator, "__post_init__")
         analyses = count_calls(monkeypatch, spectral, "analyze")
         searches = count_calls(monkeypatch, dilation, "find_factorizing_eigenstates")
+        validations = count_calls(monkeypatch, dilation, "validate_conserved")
         rc, out, err = run_cli(capsys, ["dilation", path])
         assert rc == 0, err
         assert (len(builds), len(analyses), len(searches)) == (1, 1, 1)
+        assert len(validations) == 1
 
 
 class TestZooCommands:

@@ -1,6 +1,7 @@
 """Lyapunov functionals, orbits, deformation, Cesaro averages, and the orbit oracle."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from channellab import (
     von_neumann_entropy,
     weak_contraction_check,
 )
+from channellab.channel import Superoperator, vec
 from channellab.lyapunov import (
     FUNCTIONAL_RELATIVE_ENTROPY,
     FUNCTIONAL_TRIVIAL,
@@ -34,9 +36,12 @@ from channellab.lyapunov import (
 )
 from channellab.opalg import trace_norm
 from channellab.zoo import (
+    build,
     build_named,
+    catalog,
     example_ergodic_channel,
     example_mixing_channel,
+    random_channel,
     random_state,
 )
 
@@ -204,6 +209,19 @@ class TestDeformation:
         with pytest.raises(ValueError, match="not distinct"):
             asymptotic_deformation_estimate(build_named("depolarizing", p=0.5), [(rho, rho)], 5)
 
+    def test_builds_one_superoperator(self, monkeypatch):
+        builds = []
+        post_init = Superoperator.__post_init__
+
+        def counted(self):
+            builds.append(self.dim)
+            post_init(self)
+
+        monkeypatch.setattr(Superoperator, "__post_init__", counted)
+        pairs = [(GROUND_2, DensityMatrix.basis_state(2, 1))]
+        asymptotic_deformation_estimate(build_named("depolarizing", p=0.25), pairs, 500)
+        assert builds == [2]
+
 
 class TestWeakContraction:
     def test_shift_channel_violates_on_transient_pair(self):
@@ -285,6 +303,69 @@ class TestCesaro:
                 assert d_n <= 1.05 * c_fit / (n + 1) + 1e-12, (spec.label, n)
 
 
+def _cycle_channel(d: int) -> KrausChannel:
+    basis = np.eye(d)
+    return KrausChannel(d, tuple(np.outer(basis[(j + 1) % d], basis[j]) for j in range(d)))
+
+
+def _direct_sum(a: KrausChannel, b: KrausChannel) -> KrausChannel:
+    d = a.dim + b.dim
+    ops = []
+    for block, offset in ((a, 0), (b, a.dim)):
+        for k in block.kraus_ops:
+            op = np.zeros((d, d), dtype=complex)
+            op[offset : offset + block.dim, offset : offset + block.dim] = k
+            ops.append(op)
+    return KrausChannel(d, tuple(ops))
+
+
+def _mixture_with_identity(c: KrausChannel, eps: float) -> KrausChannel:
+    """``(1 - eps) id + eps c``; slow mixing whose oracle distances straddle 1e-8 as eps varies."""
+    ops = (np.sqrt(1.0 - eps) * np.eye(c.dim),) + tuple(np.sqrt(eps) * k for k in c.kraus_ops)
+    return KrausChannel(c.dim, ops)
+
+
+def _stepping_oracle(s, n_max=2000, tol_distance=1e-8, seed=0):
+    """Reference oracle: every one of the n_max products, exact pairwise distances at every window step.
+
+    Returns ``(verdict, final_max_distance, trailing_max_distance)``, the
+    trailing maximum taken over every step of the window.
+    """
+    probes = probe_states(s.dim, seed=seed)
+    columns = np.stack([vec(p.matrix) for p in probes], axis=1)
+    window = max(1, n_max // 10)
+    i_idx, j_idx = np.triu_indices(len(probes), k=1)
+    distances = []
+    for step in range(1, n_max + 1):
+        columns = s.matrix @ columns
+        if step > n_max - window:
+            mats = columns.T.reshape(-1, s.dim, s.dim).transpose(0, 2, 1)
+            # trace norm of each pairwise difference as its sum of singular values
+            singular = np.linalg.svd(mats[i_idx] - mats[j_idx], compute_uv=False)
+            distances.append(float(singular.sum(axis=1).max()))
+    final, trailing_max = distances[-1], max(distances)
+    mixing = final < tol_distance and trailing_max < tol_distance
+    return (ORACLE_MIXING if mixing else ORACLE_NOT_MIXING), final, trailing_max
+
+
+def _oracle_cases():
+    cases = [pytest.param(build(spec), id=spec.label) for spec in catalog()]
+    cases += [pytest.param(_cycle_channel(d), id=f"cycle(d={d})") for d in (3, 5, 8)]
+    cases += [
+        pytest.param(
+            _direct_sum(random_channel(3, 2, seed), random_channel(4, 3, seed + 10)), id=f"sum3+4(seed={seed})"
+        )
+        for seed in range(3)
+    ]
+    # final distance above tol (0.023, 0.024), only the window start above (0.025, 0.026), both below
+    base = random_channel(3, 3, 13)
+    cases += [
+        pytest.param(_mixture_with_identity(base, eps), id=f"mixture(eps={eps})")
+        for eps in (0.023, 0.024, 0.025, 0.026, 0.027, 0.028)
+    ]
+    return cases
+
+
 class TestOracle:
     def test_rejects_short_horizon(self):
         with pytest.raises(ValueError, match="n_max"):
@@ -301,6 +382,32 @@ class TestOracle:
         result = orbit_oracle(to_superoperator(example_ergodic_channel()), n_max=100)
         assert result.verdict == ORACLE_NOT_MIXING
         assert result.trailing_max_distance > 1.0  # orthogonal probes keep oscillating
+
+    @pytest.mark.parametrize("channel", _oracle_cases())
+    def test_two_point_oracle_matches_stepping_reference(self, channel):
+        s = to_superoperator(channel)
+        verdict, final, trailing_max = _stepping_oracle(s)
+        result = orbit_oracle(s)
+        assert result.verdict == verdict
+        assert result.final_max_distance == pytest.approx(final, abs=1e-12, rel=1e-9)
+        assert result.trailing_max_distance == pytest.approx(trailing_max, abs=1e-12, rel=1e-9)
+
+    def test_mixtures_straddle_the_tolerance(self):
+        base = random_channel(3, 3, 13)
+        results = {eps: orbit_oracle(to_superoperator(_mixture_with_identity(base, eps)))
+                   for eps in (0.024, 0.026, 0.028)}
+        assert results[0.024].final_max_distance > 1e-8
+        assert results[0.026].final_max_distance < 1e-8 < results[0.026].trailing_max_distance
+        assert results[0.028].trailing_max_distance < 1e-8
+        assert [r.verdict for r in results.values()] == [ORACLE_NOT_MIXING, ORACLE_NOT_MIXING, ORACLE_MIXING]
+
+    def test_long_horizon_is_reached_by_squaring(self):
+        start = time.perf_counter()
+        result = orbit_oracle(to_superoperator(build_named("depolarizing", p=0.5)), n_max=10**6)
+        assert time.perf_counter() - start < 2.0  # stepping would take 10**6 products
+        assert result.verdict == ORACLE_MIXING
+        assert result.final_max_distance < 1e-8
+        assert result.trailing_window == 10**5
 
 
 class TestDataProcessing:
