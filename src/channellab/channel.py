@@ -150,7 +150,10 @@ class StinespringDilation:
         u = opalg.as_matrix(self.unitary, square=True, name="dilation unitary")
         if u.shape != (d, d):
             raise ValueError(f"unitary shape {u.shape} does not match dimA*dimB = {d}")
-        defect = float(np.abs(u.conj().T @ u - np.eye(d)).max())
+        # Finite entries can overflow in the product; a non-finite one is not unitary.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = u.conj().T @ u
+            defect = float(np.abs(gram - np.eye(d)).max()) if np.isfinite(gram).all() else np.inf
         if defect > tol.UNITARITY_TOL:
             raise ValueError(f"dilation matrix is not unitary: defect {defect:.3e}")
         phi = np.asarray(self.bath_state, dtype=complex).ravel()
@@ -225,21 +228,30 @@ def apply_raw(c: KrausChannel, m: np.ndarray) -> np.ndarray:
     return sum(k @ m @ k.conj().T for k in c.kraus_ops)
 
 
-def apply(c: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """One channel step on a state.
+def step(c: KrausChannel, m: np.ndarray) -> np.ndarray:
+    """One channel step on a state matrix, returned Hermitian, unit-trace and read-only.
 
-    The output trace must stay within ``TRACE_TOL`` of 1 (anything worse
-    signals a non-trace-preserving Kraus set and raises); the remaining
-    sub-tolerance defect is renormalized away.
+    A validated Kraus set moves the trace of a state by at most
+    ``||sum K^dag K - I||_op <= dim * KRAUS_COMPLETENESS_TOL``; a larger
+    output trace defect signals a non-trace-preserving Kraus set and
+    raises.  The remaining defect is renormalized away.  The output is not
+    checked for positivity; `apply` validates it as a `DensityMatrix`.
     """
-    if rho.dim != c.dim:
-        raise ValueError(f"state dim {rho.dim} does not match channel dim {c.dim}")
-    out = apply_raw(c, rho.matrix)
+    out = apply_raw(c, m)
     out = (out + out.conj().T) / 2.0
     trace = float(out.trace().real)
-    if abs(trace - 1.0) > tol.TRACE_TOL:
+    if abs(trace - 1.0) > c.dim * tol.KRAUS_COMPLETENESS_TOL:
         raise ValueError(f"channel output trace defect {abs(trace - 1.0):.3e}; Kraus set is not trace preserving")
-    return DensityMatrix(out / trace)
+    out = out / trace
+    out.setflags(write=False)
+    return out
+
+
+def apply(c: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
+    """One channel step on a state (`step`, validated as a `DensityMatrix`)."""
+    if rho.dim != c.dim:
+        raise ValueError(f"state dim {rho.dim} does not match channel dim {c.dim}")
+    return DensityMatrix(step(c, rho.matrix))
 
 
 def to_superoperator(c: KrausChannel) -> Superoperator:

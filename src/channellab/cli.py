@@ -183,27 +183,14 @@ def _cmd_orbit(args) -> int:
             if name not in FUNCTIONALS:
                 raise UsageError(f"unknown functional {name!r}; expected one of {FUNCTIONALS}")
     report = analyze(c)
-    fixed_point = report.fixed_points[0] if report.verdict != VERDICT_NOT_ERGODIC else None
-    if args.n == 0:
-        states = [rho0]
-        values = {}
-        if functionals:
-            trace = orbit(report, rho0, 1, tuple(functionals))
-            values = {name: series[:1] for name, series in trace.functional_values.items()}
-    else:
-        trace = orbit(report, rho0, args.n, tuple(functionals))
-        states = list(trace.states)
-        values = trace.functional_values
-    if FUNCTIONAL_TRIVIAL in values:
-        distances = values[FUNCTIONAL_TRIVIAL]
-    elif fixed_point is not None:
-        distances = [trivial_lyapunov(state, fixed_point) for state in states]
-    else:
-        distances = [None] * len(states)
-    for k, state in enumerate(states):
+    unique = report.verdict != VERDICT_NOT_ERGODIC
+    requested = (*functionals, FUNCTIONAL_TRIVIAL) if unique else tuple(functionals)
+    trace = orbit(report, rho0, max(args.n, 1), requested)
+    values = trace.functional_values
+    for k in range(args.n + 1):
         record = {
             "n": k,
-            "distance_to_fixed_point": distances[k],
+            "distance_to_fixed_point": values[FUNCTIONAL_TRIVIAL][k] if unique else None,
             "functionals": {name: values[name][k] for name in functionals},
         }
         sys.stdout.write(canonical_json(record) + "\n")
@@ -273,9 +260,7 @@ def _cmd_cesaro(args) -> int:
     payload = {
         "n": args.n,
         "average": matrix_to_json(final_avg.matrix),
-        "distance_to_fixed_point": (
-            trivial_lyapunov(final_avg, fixed_point) if fixed_point is not None else None
-        ),
+        "distance_to_fixed_point": rate_table[-1]["distance"],
         "rate_table": rate_table,
     }
     _emit(_envelope("cesaro", doc, payload, warnings))

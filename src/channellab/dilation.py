@@ -23,8 +23,8 @@ from . import tolerances as tol
 from .channel import (
     DensityMatrix,
     StinespringDilation,
-    apply,
     from_stinespring,
+    step,
     stinespring_from_document,
 )
 from .errors import HypothesisViolation, InternalInconsistencyError
@@ -349,15 +349,15 @@ def conservation_audit(cd: ConservedDilation, rho0: DensityMatrix, n: int) -> Co
 
     system_expectations = []
     outflows = []
-    state = rho0
-    for step in range(n + 1):
-        system_expectations.append(float(np.real(np.trace(cd.m_a @ state.matrix))))
-        if step == n:
+    state = rho0.matrix
+    for k in range(n + 1):
+        system_expectations.append(float(np.real(np.trace(cd.m_a @ state))))
+        if k == n:
             break
-        joint = u @ opalg.kron(state.matrix, bath_input) @ u.conj().T
+        joint = u @ opalg.kron(state, bath_input) @ u.conj().T
         bath_out = opalg.partial_trace(joint, cd.dim_a, cd.dim_b, keep="B")
         outflows.append(float(np.real(np.trace(cd.m_b @ bath_out))) - bath_reference)
-        state = apply(channel, state)
+        state = step(channel, state)
 
     # "max": outflow <= 0 and system expectation non-decreasing; "min": both reversed
     sign = -1.0 if cd.extremal == EXTREMAL_MAX else 1.0

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import opalg
 from . import tolerances as tol
-from .channel import DensityMatrix, KrausChannel, Superoperator, apply, is_unital, power, unvec, vec
+from .channel import DensityMatrix, KrausChannel, Superoperator, is_unital, power, step, unvec, vec
 from .errors import HypothesisViolation
 from .spectral import VERDICT_NOT_ERGODIC, SpectralReport
 
@@ -52,24 +52,32 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    q, v = np.linalg.eigh(sigma.matrix)
+    return _relative_entropy(rho.matrix, sigma.matrix)
+
+
+def _relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
+    q, v = np.linalg.eigh(sigma)
     kernel = v[:, q <= tol.SUPPORT_TOL]
     if kernel.shape[1]:
-        leak = float(np.real(np.trace(kernel.conj().T @ rho.matrix @ kernel)))
+        leak = float(np.real(np.trace(kernel.conj().T @ rho @ kernel)))
         if leak > tol.REL_ENTROPY_LEAK_TOL:
             return math.inf
-    p = np.linalg.eigvalsh(rho.matrix)
+    p = np.linalg.eigvalsh(rho)
     p = p[p > tol.SUPPORT_TOL]
     tr_rho_log_rho = float(np.sum(p * np.log(p)))
     on_support = q > tol.SUPPORT_TOL
     log_sigma = (v[:, on_support] * np.log(q[on_support])) @ v[:, on_support].conj().T
-    tr_rho_log_sigma = float(np.real(np.trace(rho.matrix @ log_sigma)))
+    tr_rho_log_sigma = float(np.real(np.trace(rho @ log_sigma)))
     return max(0.0, tr_rho_log_rho - tr_rho_log_sigma)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """``-sum p log p`` over eigenvalues above ``SUPPORT_TOL``, in nats."""
-    p = np.linalg.eigvalsh(rho.matrix)
+    return _von_neumann_entropy(rho.matrix)
+
+
+def _von_neumann_entropy(rho: np.ndarray) -> float:
+    p = np.linalg.eigvalsh(rho)
     p = p[p > tol.SUPPORT_TOL]
     return float(max(0.0, -np.sum(p * np.log(p))))
 
@@ -91,10 +99,11 @@ def probe_states(dim: int, seed: int = 0, n_random: int = 10) -> list[DensityMat
 
 @dataclass(frozen=True)
 class OrbitTrace:
-    """States ``rho, tau(rho), ..., tau^n(rho)`` plus requested functionals.
+    """State matrices ``rho, tau(rho), ..., tau^n(rho)`` plus requested functionals.
 
-    `functional_values` maps each requested functional name to the raw
-    (unoriented) value at every step; lengths are ``n_steps + 1``.
+    `states` holds read-only d x d arrays.  `functional_values` maps each
+    requested functional name to the raw (unoriented) value at every
+    step; lengths are ``n_steps + 1``.
     """
 
     states: tuple
@@ -102,14 +111,12 @@ class OrbitTrace:
     n_steps: int
 
 
-def _evaluate_functional(name: str, state: DensityMatrix, fixed_point: DensityMatrix | None) -> float:
+def _evaluate_functional(name: str, m: np.ndarray, fixed_point: np.ndarray | None) -> float:
     if name == FUNCTIONAL_TRIVIAL:
-        return trivial_lyapunov(state, fixed_point)
+        return opalg.trace_norm(m - fixed_point)
     if name == FUNCTIONAL_RELATIVE_ENTROPY:
-        return relative_entropy(state, fixed_point)
-    if name == FUNCTIONAL_VON_NEUMANN:
-        return von_neumann_entropy(state)
-    raise ValueError(f"unknown functional {name!r}; expected one of {FUNCTIONALS}")
+        return _relative_entropy(m, fixed_point)
+    return _von_neumann_entropy(m)
 
 
 def _unique_fixed_point(report: SpectralReport, purpose: str) -> DensityMatrix:
@@ -124,25 +131,29 @@ def _unique_fixed_point(report: SpectralReport, purpose: str) -> DensityMatrix:
 def orbit(report: SpectralReport, rho0: DensityMatrix, n: int, functionals: tuple = ()) -> OrbitTrace:
     """Iterate the analyzed channel `n` times from `rho0`, evaluating `functionals`.
 
-    Functionals that compare against the fixed point (trivial, relative
-    entropy) require the channel to have a unique fixed point.
+    The orbit is stepped on state matrices (`channel.step`); only the
+    final state is validated as a `DensityMatrix`, and a final matrix that
+    is not a state raises its `ValueError`.  Functionals that compare
+    against the fixed point (trivial, relative entropy) require the
+    channel to have a unique fixed point.
     """
     if n < 1:
         raise ValueError("orbit length n must be >= 1")
     if rho0.dim != report.dim:
         raise ValueError(f"state dimension {rho0.dim} does not match channel dimension {report.dim}")
-    names = tuple(functionals)
+    names = tuple(dict.fromkeys(functionals))
     for name in names:
         if name not in FUNCTIONALS:
             raise ValueError(f"unknown functional {name!r}; expected one of {FUNCTIONALS}")
     fixed_point = None
     if any(name in (FUNCTIONAL_TRIVIAL, FUNCTIONAL_RELATIVE_ENTROPY) for name in names):
-        fixed_point = _unique_fixed_point(report, "a fixed-point-relative functional")
-    states = [rho0]
+        fixed_point = _unique_fixed_point(report, "a fixed-point-relative functional").matrix
+    states = [rho0.matrix]
     for _ in range(n):
-        states.append(apply(report.channel, states[-1]))
+        states.append(step(report.channel, states[-1]))
+    DensityMatrix(states[-1])
     values = {
-        name: tuple(_evaluate_functional(name, state, fixed_point) for state in states)
+        name: tuple(_evaluate_functional(name, m, fixed_point) for m in states)
         for name in names
     }
     return OrbitTrace(states=tuple(states), functional_values=values, n_steps=n)
@@ -194,28 +205,16 @@ def verify_generalized_lyapunov(
     `HypothesisViolation` when the functional's hypotheses fail: the
     trivial and relative-entropy functionals need a unique fixed point,
     and relative entropy additionally needs that fixed point faithful
-    (full rank).
+    (full rank).  Each trial's values and its fixedness test come from
+    its `orbit`.
     """
-    if functional not in FUNCTIONALS:
-        raise ValueError(f"unknown functional {functional!r}; expected one of {FUNCTIONALS}")
-    if n < 1:
-        raise ValueError("horizon n must be >= 1")
     if not trial_states:
         raise ValueError("at least one trial state is required")
-    for state in trial_states:
-        if state.dim != report.dim:
-            raise ValueError(f"trial state dimension {state.dim} does not match channel dimension {report.dim}")
 
-    c = report.channel
     notes: list[str] = []
     fixed_point = None
     if functional in (FUNCTIONAL_TRIVIAL, FUNCTIONAL_RELATIVE_ENTROPY):
-        if report.verdict == VERDICT_NOT_ERGODIC:
-            raise HypothesisViolation(
-                f"functional {functional!r} is defined relative to a unique fixed point; "
-                f"the fixed-point set is {report.eigenvalue_one_multiplicity}-dimensional"
-            )
-        fixed_point = report.fixed_points[0]
+        fixed_point = _unique_fixed_point(report, f"functional {functional!r}")
         if functional == FUNCTIONAL_RELATIVE_ENTROPY:
             min_eig = float(np.linalg.eigvalsh(fixed_point.matrix).min())
             if min_eig <= tol.SUPPORT_TOL:
@@ -224,7 +223,7 @@ def verify_generalized_lyapunov(
                     f"smallest fixed-point eigenvalue is {min_eig:.3e}"
                 )
     else:
-        if not is_unital(c):
+        if not is_unital(report.channel):
             notes.append(
                 "channel is not unital: von Neumann entropy is not guaranteed to be monotone"
             )
@@ -238,11 +237,8 @@ def verify_generalized_lyapunov(
     records = []
     all_trials_fixed = True
     for idx, rho in enumerate(trial_states):
-        raw = [_evaluate_functional(functional, rho, fixed_point)]
-        state = rho
-        for _ in range(n):
-            state = apply(c, state)
-            raw.append(_evaluate_functional(functional, state, fixed_point))
+        trace = orbit(report, rho, n, (functional,))
+        raw = trace.functional_values[functional]
         oriented = [sign * value for value in raw]
         defect = 0.0
         for k in range(n):
@@ -258,7 +254,7 @@ def verify_generalized_lyapunov(
             matches = opalg.trace_norm(rho.matrix - fixed_point.matrix) <= tol.STATE_MATCH_TOL
         else:
             matches = False
-        if opalg.trace_norm(apply(c, rho).matrix - rho.matrix) > tol.STATE_MATCH_TOL:
+        if opalg.trace_norm(trace.states[1] - trace.states[0]) > tol.STATE_MATCH_TOL:
             all_trials_fixed = False
         records.append(
             TrialRecord(
@@ -299,6 +295,18 @@ def verify_generalized_lyapunov(
     )
 
 
+def _distinct_pair_distance(dim: int, rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Trace distance of a pair of `dim`-dimensional states, rejecting near-duplicates."""
+    if rho.dim != dim or sigma.dim != dim:
+        raise ValueError("pair dimension does not match channel dimension")
+    d0 = opalg.trace_norm(rho.matrix - sigma.matrix)
+    if d0 <= tol.DISTINCT_PAIR_TOL:
+        raise ValueError(
+            f"pair is not distinct: initial trace distance {d0:.3e} <= {tol.DISTINCT_PAIR_TOL:g}"
+        )
+    return d0
+
+
 def asymptotic_deformation_estimate(
     c: KrausChannel, pairs: list, n: int
 ) -> list[tuple[float, float]]:
@@ -313,15 +321,8 @@ def asymptotic_deformation_estimate(
     s_n = power(c, n)
     results = []
     for rho, sigma in pairs:
-        if rho.dim != c.dim or sigma.dim != c.dim:
-            raise ValueError("pair dimension does not match channel dimension")
-        diff = rho.matrix - sigma.matrix
-        d0 = opalg.trace_norm(diff)
-        if d0 <= tol.DISTINCT_PAIR_TOL:
-            raise ValueError(
-                f"pair is not distinct: initial trace distance {d0:.3e} <= {tol.DISTINCT_PAIR_TOL:g}"
-            )
-        results.append((d0, opalg.trace_norm(unvec(s_n @ vec(diff)))))
+        d0 = _distinct_pair_distance(c.dim, rho, sigma)
+        results.append((d0, opalg.trace_norm(unvec(s_n @ vec(rho.matrix - sigma.matrix)))))
     return results
 
 
@@ -352,14 +353,8 @@ def weak_contraction_check(c: KrausChannel, pairs: list) -> WeakContractionResul
     the first pair found to violate that is returned as a witness.
     """
     for rho, sigma in pairs:
-        if rho.dim != c.dim or sigma.dim != c.dim:
-            raise ValueError("pair dimension does not match channel dimension")
-        d0 = opalg.trace_norm(rho.matrix - sigma.matrix)
-        if d0 <= tol.DISTINCT_PAIR_TOL:
-            raise ValueError(
-                f"pair is not distinct: initial trace distance {d0:.3e} <= {tol.DISTINCT_PAIR_TOL:g}"
-            )
-        d1 = opalg.trace_norm(apply(c, rho).matrix - apply(c, sigma).matrix)
+        d0 = _distinct_pair_distance(c.dim, rho, sigma)
+        d1 = opalg.trace_norm(step(c, rho.matrix) - step(c, sigma.matrix))
         if d1 >= d0 - tol.WEAK_CONTRACTION_TOL:
             return WeakContractionResult(violated=True, witness=(rho, sigma), d_before=d0, d_after=d1)
     return WeakContractionResult(violated=False, witness=None, d_before=None, d_after=None)

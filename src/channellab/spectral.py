@@ -20,7 +20,7 @@ import numpy as np
 
 from . import opalg
 from . import tolerances as tol
-from .channel import DensityMatrix, KrausChannel, Superoperator, apply, to_superoperator, unvec, vec
+from .channel import DensityMatrix, KrausChannel, Superoperator, step, to_superoperator, unvec, vec
 from .errors import InternalInconsistencyError
 from .jsonutil import complex_to_pair, matrix_to_json
 
@@ -212,7 +212,7 @@ def calibrate_speed_constant(report: SpectralReport, rho0: DensityMatrix) -> flo
             "no finite constant reproduces the first step"
         )
     fixed = report.fixed_points[0]
-    d1 = opalg.trace_norm(apply(report.channel, rho0).matrix - fixed.matrix)
+    d1 = opalg.trace_norm(step(report.channel, rho0.matrix) - fixed.matrix)
     return d1 / report.kappa
 
 
@@ -361,7 +361,7 @@ def polar_fixed_point(
     rho = DensityMatrix(opalg.psd_sqrt(theta @ theta.conj().T) / g)
     sigma = DensityMatrix(opalg.psd_sqrt(theta.conj().T @ theta) / g)
     for dm in (rho, sigma):
-        defect = opalg.trace_norm(apply(report.channel, dm).matrix - dm.matrix)
+        defect = opalg.trace_norm(step(report.channel, dm.matrix) - dm.matrix)
         if defect > tol.FIXED_POINT_RESIDUAL_TOL:
             raise InternalInconsistencyError(
                 f"polar reconstruction is not fixed: ||tau(rho) - rho||_1 = {defect:.3e}"

@@ -77,7 +77,7 @@ def test_criterion_01_population_flip_oscillates_between_basis_states(spectral_r
     excited = DensityMatrix.basis_state(2, 1).matrix
     for k, state in enumerate(trace.states):
         expected = ground if k % 2 == 0 else excited
-        assert np.array_equal(state.matrix, expected), f"step {k} not an exact alternation"
+        assert np.array_equal(state, expected), f"step {k} not an exact alternation"
 
 
 def test_criterion_02_cascade_absorbs_all_matrix_units_in_two_steps(spectral_reports):

@@ -123,6 +123,14 @@ class TestAction:
         assert out.matrix[1, 1] == pytest.approx(1.0, abs=1e-12)
         assert out.matrix[0, 0] == pytest.approx(0.0, abs=1e-12)
 
+    def test_apply_rejects_completeness_defect_beyond_tolerance(self):
+        ops = [np.array(k) for k in build_named("amplitude-damping", gamma=0.3).kraus_ops]
+        ops[0][0, 0] *= np.sqrt(1.0 + 1e-6)
+        c = KrausChannel(2, tuple(ops))
+        assert not validate_cpt(c).passed
+        with pytest.raises(ValueError, match="not trace preserving"):
+            apply(c, DensityMatrix.basis_state(2, 0))
+
     def test_superoperator_matches_apply(self):
         rng = np.random.default_rng(31)
         for seed in range(4):
@@ -201,6 +209,11 @@ class TestStinespring:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             StinespringDilation(2, 2, np.ones((4, 4)), np.array([1.0, 0.0]))
+
+    def test_overflowing_unitary_is_not_unitary(self):
+        with np.errstate(all="raise"):  # a numpy floating-point warning would raise here
+            with pytest.raises(ValueError, match="not unitary: defect inf"):
+                StinespringDilation(2, 2, np.full((4, 4), 1e308), np.array([1.0, 0.0]))
 
     def test_rejects_unnormalized_bath(self):
         with pytest.raises(ValueError, match="bath"):

@@ -9,7 +9,7 @@ import pytest
 
 import channellab
 from channellab import dilation, spectral
-from channellab.channel import Superoperator
+from channellab.channel import DensityMatrix, Superoperator
 from channellab.cli import main
 from channellab.jsonutil import matrix_to_json
 
@@ -37,6 +37,33 @@ SUBNORMALIZED_DOC = {
 OVERFLOWING_DOC = {
     "dim": 2,
     "kraus": [[[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e308, 0.0]]]],
+}
+
+HUGE_UNITARY = [[[1e308, 0.0]] * 4] * 4
+
+OVERFLOWING_STINESPRING_DOC = {
+    "stinespring": {"dimA": 2, "dimB": 2, "unitary": HUGE_UNITARY, "bath_state": [[1.0, 0.0], [0.0, 0.0]]},
+}
+
+# Malformed, overflowing and dimension-mismatched channel documents.
+MALFORMED_DOCS = {
+    "top-level-list": [{"dim": 1, "kraus": [[[[1.0, 0.0]]]]}],
+    "missing-dim": {"kraus": [[[[1.0, 0.0]]]]},
+    "shape-vs-dim": {"dim": 3, "kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]},
+    "non-square": {"dim": 2, "kraus": [[[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]]]},
+    "string-entries": {"dim": 1, "kraus": [[[["1", "0"]]]]},
+    "nan-literal": {"dim": 1, "kraus": [[[[float("nan"), 0.0]]]]},
+    "overflowing-kraus": OVERFLOWING_DOC,
+    "overflowing-stinespring": OVERFLOWING_STINESPRING_DOC,
+    "dim-vs-dimA": {
+        "dim": 3,
+        "stinespring": {
+            "dimA": 2,
+            "dimB": 1,
+            "unitary": matrix_to_json(np.eye(2, dtype=complex)),
+            "bath_state": [[1.0, 0.0]],
+        },
+    },
 }
 
 
@@ -93,6 +120,21 @@ class TestValidate:
             assert err.count("\n") == 1
             assert err.startswith("invalid input: channel failed validation:")
 
+    @pytest.mark.parametrize("command", ["validate", "classify", "dilation"])
+    def test_overflowing_dilation_unitary_fails_cleanly(self, capsys, tmp_path, command):
+        doc = OVERFLOWING_STINESPRING_DOC
+        if command == "dilation":
+            rc, out, err = run_cli(capsys, ["zoo-emit", "partial-swap-dilation", "--instance"])
+            doc = {**json.loads(out), "unitary": HUGE_UNITARY}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            rc, out, err = run_cli(capsys, [command, str(path)])
+        assert rc == 2
+        assert out == ""
+        assert err == "invalid input: dilation matrix is not unitary: defect inf\n"
+
 
 class TestInputErrors:
     def test_missing_file(self, capsys):
@@ -106,6 +148,22 @@ class TestInputErrors:
         rc, out, err = run_cli(capsys, ["validate", str(path)])
         assert rc == 1
         assert "line 1" in err and "column" in err
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_DOCS))
+    @pytest.mark.parametrize("command", ["validate", "classify", "orbit", "cesaro"])
+    def test_malformed_documents_exit_cleanly(self, capsys, tmp_path, command, name):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(MALFORMED_DOCS[name]))
+        extra = ["--state", "basis:0", "--n", "3"] if command in ("orbit", "cesaro") else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            rc, out, err = run_cli(capsys, [command, str(path), *extra])
+        assert rc in (1, 2)
+        assert "Warning" not in err and "Traceback" not in err
+        if err == "":  # validate reports a failed check in its envelope
+            assert command == "validate" and not json.loads(out)["report"]["passed"]
+        else:
+            assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_missing_command(self, capsys):
         assert run_cli(capsys, [])[0] == 1
@@ -206,6 +264,18 @@ class TestOrbit:
         )
         assert rc == 1
         assert "unknown functional" in err
+
+    def test_accepts_kraus_set_within_completeness_tolerance(self, capsys, tmp_path):
+        # completeness defect 5e-9 passes validation (<= 1e-8), so its orbit must run too
+        c = channellab.build_named("amplitude-damping", gamma=0.3)
+        ops = [np.array(k) for k in c.kraus_ops]
+        ops[0][0, 0] *= np.sqrt(1.0 + 5e-9)
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(channellab.channel_to_document(channellab.KrausChannel(2, tuple(ops)))))
+        assert run_cli(capsys, ["validate", str(path)])[0] == 0
+        rc, out, err = run_cli(capsys, ["orbit", str(path), "--state", "basis:0", "--n", "10"])
+        assert rc == 0, err
+        assert len(out.splitlines()) == 11
 
     def test_bad_state_specs(self, capsys, tmp_path):
         path = emit_to_file(capsys, tmp_path, ["example-mixing"], "mix.json")
@@ -321,6 +391,21 @@ class TestOneBuildPerRequest:
         rc, out, err = run_cli(capsys, [argv[0], path, *argv[1:]])
         assert rc == 0, err
         assert (len(builds), len(analyses)) == (1, 1)
+
+    def test_orbit_validates_a_fixed_number_of_states(self, capsys, tmp_path, monkeypatch):
+        path = emit_to_file(capsys, tmp_path, ["depolarizing", "--param", "p=0.25"], "depol.json")
+        built = count_calls(monkeypatch, DensityMatrix, "__post_init__")
+        counts = []
+        for n in ("10", "2000"):
+            start = len(built)
+            rc, out, err = run_cli(
+                capsys,
+                ["orbit", path, "--state", "basis:1", "--n", n,
+                 "--functionals", "trivial,relative_entropy,von_neumann"],
+            )
+            assert rc == 0, err
+            counts.append(len(built) - start)
+        assert counts[0] == counts[1]
 
     def test_dilation_searches_factorizing_eigenstates_once(self, capsys, tmp_path, monkeypatch):
         path = emit_to_file(capsys, tmp_path, ["partial-swap-dilation", "--instance"], "pswap.json")

@@ -15,6 +15,7 @@ from channellab import (
     asymptotic_deformation_estimate,
     cesaro_average,
     deformation_evidence,
+    is_unital,
     orbit,
     orbit_oracle,
     probe_states,
@@ -25,13 +26,15 @@ from channellab import (
     von_neumann_entropy,
     weak_contraction_check,
 )
-from channellab.channel import Superoperator, vec
+from channellab.channel import Superoperator, apply_raw, vec
 from channellab.lyapunov import (
     FUNCTIONAL_RELATIVE_ENTROPY,
     FUNCTIONAL_TRIVIAL,
     FUNCTIONAL_VON_NEUMANN,
     ORACLE_MIXING,
     ORACLE_NOT_MIXING,
+    LyapunovVerdict,
+    TrialRecord,
     cesaro_averages,
 )
 from channellab.opalg import trace_norm
@@ -95,7 +98,7 @@ class TestOrbit:
         assert len(trace.states) == 5
         for k, state in enumerate(trace.states):
             expected = GROUND_2 if k % 2 == 0 else DensityMatrix.basis_state(2, 1)
-            assert np.abs(state.matrix - expected.matrix).max() <= 1e-12
+            assert np.abs(state - expected.matrix).max() <= 1e-12
         # distance to the fixed point I/2 never moves
         assert all(v == pytest.approx(1.0, abs=1e-12) for v in trace.functional_values["trivial"])
 
@@ -125,7 +128,84 @@ class TestOrbit:
             orbit(analyze(c), GROUND_2, 2, (FUNCTIONAL_TRIVIAL,))
 
 
+def _stepping_verdict(report, functional, trial_states, n):
+    """Reference: Lyapunov evidence from a per-step loop that validates every state."""
+    c = report.channel
+
+    def validated_step(rho):
+        out = apply_raw(c, rho.matrix)
+        out = (out + out.conj().T) / 2.0
+        return DensityMatrix(out / out.trace().real)
+
+    evaluate = {
+        FUNCTIONAL_TRIVIAL: lambda rho: trivial_lyapunov(rho, report.fixed_points[0]),
+        FUNCTIONAL_RELATIVE_ENTROPY: lambda rho: relative_entropy(rho, report.fixed_points[0]),
+        FUNCTIONAL_VON_NEUMANN: von_neumann_entropy,
+    }[functional]
+    notes = []
+    fixed_point = None
+    if functional == FUNCTIONAL_VON_NEUMANN:
+        if not is_unital(c):
+            notes.append("channel is not unital: von Neumann entropy is not guaranteed to be monotone")
+        if report.verdict == "not_ergodic":
+            notes.append(
+                "channel has multiple fixed points: strict increase cannot hold for every "
+                "non-fixed state, so the evidence flag cannot certify mixing"
+            )
+    else:
+        fixed_point = report.fixed_points[0]
+    sign = 1.0 if functional == FUNCTIONAL_VON_NEUMANN else -1.0
+    records = []
+    all_trials_fixed = True
+    for idx, rho in enumerate(trial_states):
+        raw = [evaluate(rho)]
+        state = rho
+        for _ in range(n):
+            state = validated_step(state)
+            raw.append(evaluate(state))
+        oriented = [sign * value for value in raw]
+        defect = max(0.0, *(oriented[k] - oriented[k + 1] for k in range(n)))
+        n_strict = next((k for k in range(1, n + 1) if oriented[k] - oriented[0] > 1e-9), None)
+        matches = fixed_point is not None and trace_norm(rho.matrix - fixed_point.matrix) <= 1e-9
+        if trace_norm(validated_step(rho).matrix - rho.matrix) > 1e-9:
+            all_trials_fixed = False
+        records.append(
+            TrialRecord(idx, matches, defect, abs(oriented[n] - oriented[0]), n_strict, raw[0], raw[n])
+        )
+    moving = [r for r in records if not r.matches_fixed_point]
+    if all_trials_fixed:
+        notes.append("every trial state is a fixed point of the channel; no strictness evidence available")
+    evidence, gap, n_strict = False, 0.0, None
+    if moving:
+        evidence = all(r.limit_gap > 1e-6 and r.monotone_defect <= 1e-9 for r in moving)
+        gap = min(r.limit_gap for r in moving)
+        strict = [r.n_strict for r in moving]
+        n_strict = max(strict) if None not in strict else None
+    return LyapunovVerdict(
+        functional, max(r.monotone_defect for r in records), gap, n_strict, evidence, tuple(records), tuple(notes)
+    )
+
+
+def _applicable_functionals(report):
+    names = [FUNCTIONAL_VON_NEUMANN]
+    if report.verdict != "not_ergodic":
+        names.append(FUNCTIONAL_TRIVIAL)
+        if np.linalg.eigvalsh(report.fixed_points[0].matrix).min() > 1e-10:
+            names.append(FUNCTIONAL_RELATIVE_ENTROPY)
+    return names
+
+
 class TestVerify:
+    def test_matches_per_step_reference_on_catalog(self, spectral_reports):
+        for label, report in spectral_reports.items():
+            probes = probe_states(report.dim, seed=3, n_random=4)
+            # a lone basis state on a periodic orbit returns at step 20 but moves at step 1
+            for trials in (probes + list(report.fixed_points), probes[:1]):
+                for functional in _applicable_functionals(report):
+                    want = _stepping_verdict(report, functional, trials, 20)
+                    got = verify_generalized_lyapunov(report, functional, trials, 20)
+                    assert got == want, (label, functional)
+
     def test_depolarizing_relative_entropy_is_strict_monotone(self):
         c = build_named("depolarizing", p=0.5)
         verdict = verify_generalized_lyapunov(
