@@ -14,7 +14,9 @@ timestamps); the default seed comes from ``CHANNELLAB_SEED`` when set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -40,12 +42,14 @@ from .jsonutil import canonical_json, input_digest, json_to_matrix, matrix_to_js
 from .lyapunov import (
     FUNCTIONAL_TRIVIAL,
     FUNCTIONALS,
+    ORACLE_MIN_N_MAX,
     cesaro_averages,
     orbit,
     orbit_oracle,
     trivial_lyapunov,
 )
 from .spectral import VERDICT_MIXING, VERDICT_NOT_ERGODIC, analyze, report_to_payload
+from .tolerances import ORACLE_TOL
 from .zoo import build, build_named, catalog, dilation_instance, find_spec
 
 
@@ -116,15 +120,7 @@ def _parse_state(spec: str, dim: int) -> DensityMatrix:
 
 def _validation_payload(c: KrausChannel) -> dict:
     report = validate_cpt(c)
-    return {
-        "dim": c.dim,
-        "label": c.label,
-        "completeness_defect": report.completeness_defect,
-        "min_choi_eigenvalue": report.min_choi_eigenvalue,
-        "checks": dict(report.checks),
-        "messages": list(report.messages),
-        "passed": report.passed,
-    }
+    return {"dim": c.dim, "label": c.label, **dataclasses.asdict(report), "passed": report.passed}
 
 
 def _require_valid(c: KrausChannel) -> None:
@@ -141,6 +137,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise UsageError(f"--tol must be a positive finite number, got {args.tol!r}")
+    if args.nmax < ORACLE_MIN_N_MAX:
+        raise UsageError(f"--nmax must be >= {ORACLE_MIN_N_MAX}, got {args.nmax}")
     c, doc = _load_channel(args.file)
     _require_valid(c)
     report = analyze(c)
@@ -154,15 +154,7 @@ def _cmd_classify(args) -> int:
     if args.oracle:
         oracle = orbit_oracle(report.superoperator, n_max=args.nmax, tol_distance=args.tol, seed=args.seed)
         agrees = (report.verdict == VERDICT_MIXING) == (oracle.verdict == "mixing")
-        payload["oracle"] = {
-            "verdict": oracle.verdict,
-            "final_max_distance": oracle.final_max_distance,
-            "trailing_max_distance": oracle.trailing_max_distance,
-            "n_max": oracle.n_max,
-            "tol": oracle.tol,
-            "n_probes": oracle.n_probes,
-            "trailing_window": oracle.trailing_window,
-        }
+        payload["oracle"] = dataclasses.asdict(oracle)
         payload["oracle_agrees"] = agrees
         if not agrees:
             warnings.append("orbit oracle disagrees with the spectral verdict")
@@ -348,8 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="spectral verdict: mixing / ergodic_not_mixing / not_ergodic")
     p.add_argument("file", help="channel JSON document")
     p.add_argument("--oracle", action="store_true", help="cross-check with the brute-force orbit oracle")
-    p.add_argument("--nmax", type=int, default=2000, help="oracle horizon (default 2000)")
-    p.add_argument("--tol", type=float, default=1e-8, help="oracle convergence tolerance (default 1e-8)")
+    p.add_argument("--nmax", type=int, default=2000, help=f"oracle horizon, >= {ORACLE_MIN_N_MAX} (default 2000)")
+    p.add_argument("--tol", type=float, default=ORACLE_TOL,
+                   help=f"oracle convergence tolerance, positive (default {ORACLE_TOL:g})")
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("orbit", help="stream the orbit of a state as JSON lines")

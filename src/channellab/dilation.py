@@ -58,14 +58,10 @@ class ConservedDilation:
             raise ValueError(f"mA has dimension {m_a.shape[0]}, dilation system has {self.dilation.dim_a}")
         if m_b.shape[0] != self.dilation.dim_b:
             raise ValueError(f"mB has dimension {m_b.shape[0]}, dilation bath has {self.dilation.dim_b}")
-        for name, m in (("mA", m_a), ("mB", m_b)):
-            defect = opalg.hermiticity_defect(m)
-            if defect > tol.HERMITICITY_TOL:
-                raise ValueError(f"{name} is not Hermitian: defect {defect:.3e}")
+        m_a = opalg.hermitize(m_a, "mA")
+        m_b = opalg.hermitize(m_b, "mB")
         if self.extremal not in (EXTREMAL_MAX, EXTREMAL_MIN):
             raise ValueError(f"extremal must be {EXTREMAL_MAX!r} or {EXTREMAL_MIN!r}, got {self.extremal!r}")
-        m_a = (m_a + m_a.conj().T) / 2.0
-        m_b = (m_b + m_b.conj().T) / 2.0
         m_a.setflags(write=False)
         m_b.setflags(write=False)
         object.__setattr__(self, "m_a", m_a)

@@ -15,7 +15,7 @@ cross-validate the spectral classifier.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +33,7 @@ FUNCTIONALS = (FUNCTIONAL_TRIVIAL, FUNCTIONAL_RELATIVE_ENTROPY, FUNCTIONAL_VON_N
 
 ORACLE_MIXING = "mixing"
 ORACLE_NOT_MIXING = "not_mixing_within_horizon"
+ORACLE_MIN_N_MAX = 100
 
 
 def trivial_lyapunov(rho: DensityMatrix, fixed_point: DensityMatrix) -> float:
@@ -52,23 +53,28 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    return _relative_entropy(rho.matrix, sigma.matrix)
+    return _relative_entropy_to(sigma.matrix)(rho.matrix)
 
 
-def _relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
+def _relative_entropy_to(sigma: np.ndarray) -> Callable[[np.ndarray], float]:
+    """``rho -> S(rho || sigma)`` on state matrices; `sigma` is diagonalized here, once."""
     q, v = np.linalg.eigh(sigma)
     kernel = v[:, q <= tol.SUPPORT_TOL]
-    if kernel.shape[1]:
-        leak = float(np.real(np.trace(kernel.conj().T @ rho @ kernel)))
-        if leak > tol.REL_ENTROPY_LEAK_TOL:
-            return math.inf
-    p = np.linalg.eigvalsh(rho)
-    p = p[p > tol.SUPPORT_TOL]
-    tr_rho_log_rho = float(np.sum(p * np.log(p)))
     on_support = q > tol.SUPPORT_TOL
     log_sigma = (v[:, on_support] * np.log(q[on_support])) @ v[:, on_support].conj().T
-    tr_rho_log_sigma = float(np.real(np.trace(rho @ log_sigma)))
-    return max(0.0, tr_rho_log_rho - tr_rho_log_sigma)
+
+    def evaluate(rho: np.ndarray) -> float:
+        if kernel.shape[1]:
+            leak = float(np.real(np.trace(kernel.conj().T @ rho @ kernel)))
+            if leak > tol.REL_ENTROPY_LEAK_TOL:
+                return math.inf
+        p = np.linalg.eigvalsh(rho)
+        p = p[p > tol.SUPPORT_TOL]
+        tr_rho_log_rho = float(np.sum(p * np.log(p)))
+        tr_rho_log_sigma = float(np.real(np.trace(rho @ log_sigma)))
+        return max(0.0, tr_rho_log_rho - tr_rho_log_sigma)
+
+    return evaluate
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -111,12 +117,13 @@ class OrbitTrace:
     n_steps: int
 
 
-def _evaluate_functional(name: str, m: np.ndarray, fixed_point: np.ndarray | None) -> float:
+def _functional_evaluator(name: str, fixed_point: np.ndarray | None) -> Callable[[np.ndarray], float]:
+    """The map ``state matrix -> value`` of functional `name` for one orbit against `fixed_point`."""
     if name == FUNCTIONAL_TRIVIAL:
-        return opalg.trace_norm(m - fixed_point)
+        return lambda m: opalg.trace_norm(m - fixed_point)
     if name == FUNCTIONAL_RELATIVE_ENTROPY:
-        return _relative_entropy(m, fixed_point)
-    return _von_neumann_entropy(m)
+        return _relative_entropy_to(fixed_point)
+    return _von_neumann_entropy
 
 
 def _unique_fixed_point(report: SpectralReport, purpose: str) -> DensityMatrix:
@@ -152,10 +159,7 @@ def orbit(report: SpectralReport, rho0: DensityMatrix, n: int, functionals: tupl
     for _ in range(n):
         states.append(step(report.channel, states[-1]))
     DensityMatrix(states[-1])
-    values = {
-        name: tuple(_evaluate_functional(name, m, fixed_point) for m in states)
-        for name in names
-    }
+    values = {name: tuple(map(_functional_evaluator(name, fixed_point), states)) for name in names}
     return OrbitTrace(states=tuple(states), functional_values=values, n_steps=n)
 
 
@@ -422,7 +426,9 @@ def _max_pairwise_distance(columns: np.ndarray) -> float:
     return float(np.abs(eigs).sum(axis=1).max())
 
 
-def orbit_oracle(s: Superoperator, n_max: int = 2000, tol_distance: float = 1e-8, seed: int = 0) -> OracleResult:
+def orbit_oracle(
+    s: Superoperator, n_max: int = 2000, tol_distance: float = tol.ORACLE_TOL, seed: int = 0
+) -> OracleResult:
     """Brute-force mixing test by iterating a deterministic probe set under `s`.
 
     The probes are the d basis states, 10 seeded random pure states and
@@ -443,8 +449,8 @@ def orbit_oracle(s: Superoperator, n_max: int = 2000, tol_distance: float = 1e-8
     batched Hermitian eigensolve.  The verdict reads only the matrix of
     `s`, never its spectrum.
     """
-    if n_max < 100:
-        raise ValueError("n_max must be >= 100 for a meaningful horizon")
+    if n_max < ORACLE_MIN_N_MAX:
+        raise ValueError(f"n_max must be >= {ORACLE_MIN_N_MAX} for a meaningful horizon")
     probes = probe_states(s.dim, seed=seed)
     columns = np.stack([vec(p.matrix) for p in probes], axis=1)
     window = max(1, n_max // 10)

@@ -36,6 +36,15 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
 
 
+def hermitize(m, name: str) -> np.ndarray:
+    """``(m + m^dag) / 2`` of a square matrix whose Hermiticity defect is within ``HERMITICITY_TOL``."""
+    a = as_matrix(m, square=True, name=name)
+    defect = hermiticity_defect(a)
+    if defect > tol.HERMITICITY_TOL:
+        raise ValueError(f"{name} is not Hermitian: defect {defect:.3e}")
+    return (a + a.conj().T) / 2.0
+
+
 @dataclass(frozen=True)
 class EigenSystem:
     """Eigenvalues with matching eigenvector columns and their residual.
@@ -119,11 +128,7 @@ def psd_sqrt(m) -> np.ndarray:
     are nonnegative up to rounding; negatives above ``-PSD_REJECT`` are
     clipped to zero, anything below that is rejected.
     """
-    a = as_matrix(m, square=True)
-    defect = hermiticity_defect(a)
-    if defect > tol.HERMITICITY_TOL:
-        raise ValueError(f"psd_sqrt needs a Hermitian matrix: defect {defect:.3e}")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    w, v = np.linalg.eigh(hermitize(m, "psd_sqrt input"))
     if w.size and w.min() < -tol.PSD_REJECT:
         raise ValueError(f"matrix is materially non-PSD: min eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)

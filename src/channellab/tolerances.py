@@ -14,7 +14,6 @@ SUPPORT_TOL = 1e-10          # eigenvalues <= SUPPORT_TOL count as kernel (log /
 # --- channels ----------------------------------------------------------------
 TRACE_TOL = 1e-9             # unit-trace defect accepted for density matrices
 KRAUS_COMPLETENESS_TOL = 1e-8   # max-norm defect of sum(K^dag K) = I
-CHOI_PSD_TOL = 1e-8          # min Choi eigenvalue >= -CHOI_PSD_TOL (complete positivity)
 SPECTRAL_RADIUS_TOL = 1e-7   # superoperator spectral radius may exceed 1 by at most this
 UNITARITY_TOL = 1e-9         # max-norm defect of U^dag U = I
 BATH_NORM_TOL = 1e-12        # bath vector norm defect
@@ -38,6 +37,7 @@ MONOTONE_DEFECT_TOL = 1e-9   # allowed monotonicity violation along orbits
 STATE_MATCH_TOL = 1e-9       # trace distance below which two states count as equal
 DISTINCT_PAIR_TOL = 1e-9     # state pairs closer than this are rejected as duplicates
 WEAK_CONTRACTION_TOL = 1e-9  # slack when testing for a strict distance decrease
+ORACLE_TOL = 1e-8            # default orbit-oracle bound on the max pairwise probe distance
 
 # --- conserved dilations --------------------------------------------------------
 COMMUTATOR_TOL = 1e-9        # max-norm defect of [mA (x) I + I (x) mB, U] = 0

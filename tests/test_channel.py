@@ -108,6 +108,14 @@ class TestValidation:
             oracle += np.outer(v, v.conj())
         assert np.abs(choi_matrix(c) - oracle).max() <= 1e-12
 
+    def test_min_choi_eigenvalue_matches_choi_eigensolve_on_catalog(self, zoo_entries):
+        ranks = set()
+        for spec, channel in zoo_entries:
+            expected = np.linalg.eigvalsh(choi_matrix(channel)).min()
+            assert abs(validate_cpt(channel).min_choi_eigenvalue - expected) <= 1e-12, spec.label
+            ranks.add(len(channel.kraus_ops) < channel.dim**2)
+        assert ranks == {True, False}  # both branches: fewer Kraus operators than d^2, and full rank
+
     def test_zoo_channels_all_valid(self, zoo_entries):
         for spec, channel in zoo_entries:
             report = validate_cpt(channel)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import channellab
-from channellab import dilation, spectral
+from channellab import cli, dilation, spectral
 from channellab.channel import DensityMatrix, Superoperator
 from channellab.cli import main
 from channellab.jsonutil import matrix_to_json
@@ -158,7 +158,7 @@ class TestInputErrors:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
             rc, out, err = run_cli(capsys, [command, str(path), *extra])
-        assert rc in (1, 2)
+        assert rc == 2
         assert "Warning" not in err and "Traceback" not in err
         if err == "":  # validate reports a failed check in its envelope
             assert command == "validate" and not json.loads(out)["report"]["passed"]
@@ -198,6 +198,18 @@ class TestClassify:
         assert report["oracle"]["verdict"] == "mixing"
         assert report["oracle"]["n_max"] == 100
         assert report["oracle_agrees"]
+
+    @pytest.mark.parametrize(
+        "option",
+        [["--tol", "nan"], ["--tol", "inf"], ["--tol", "-1"], ["--tol", "0"], ["--nmax", "50"]],
+        ids=["tol-nan", "tol-inf", "tol-negative", "tol-zero", "nmax-below-100"],
+    )
+    def test_rejects_bad_oracle_arguments_before_loading(self, capsys, tmp_path, monkeypatch, option):
+        path = emit_to_file(capsys, tmp_path, ["example-ergodic"], "flip.json")
+        loads = count_calls(monkeypatch, cli, "_load_channel")
+        rc, out, err = run_cli(capsys, ["classify", path, "--oracle", *option])
+        assert (rc, out, loads) == (1, "", [])
+        assert err.startswith(f"error: {option[0]} must be") and err.count("\n") == 1
 
     def test_oracle_cross_check_non_mixing(self, capsys, tmp_path):
         path = emit_to_file(capsys, tmp_path, ["example-ergodic"], "erg.json")
@@ -406,6 +418,19 @@ class TestOneBuildPerRequest:
             assert rc == 0, err
             counts.append(len(built) - start)
         assert counts[0] == counts[1]
+
+    def test_orbit_diagonalizes_the_fixed_point_a_fixed_number_of_times(self, capsys, tmp_path, monkeypatch):
+        path = emit_to_file(capsys, tmp_path, ["depolarizing", "--param", "p=0.25"], "depol.json")
+        eighs = count_calls(monkeypatch, np.linalg, "eigh")
+        counts = []
+        for n in ("10", "2000"):
+            start = len(eighs)
+            rc, out, err = run_cli(
+                capsys, ["orbit", path, "--state", "basis:1", "--n", n, "--functionals", "relative_entropy"]
+            )
+            assert rc == 0, err
+            counts.append(len(eighs) - start)
+        assert counts[0] == counts[1] >= 1
 
     def test_dilation_searches_factorizing_eigenstates_once(self, capsys, tmp_path, monkeypatch):
         path = emit_to_file(capsys, tmp_path, ["partial-swap-dilation", "--instance"], "pswap.json")

@@ -1,0 +1,33 @@
+"""Source rules: every numerical threshold lives in `tolerances.py`."""
+
+import tokenize
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "channellab"
+
+
+def exponent_literals(path: Path) -> list[tuple[int, str]]:
+    """(line, text) of every float literal written in exponent form, such as ``1e-8``."""
+    with path.open("rb") as f:
+        return [
+            (tok.start[0], tok.string)
+            for tok in tokenize.tokenize(f.readline)
+            if tok.type == tokenize.NUMBER
+            and not tok.string.lower().startswith("0x")
+            and "e" in tok.string.lower()
+        ]
+
+
+def test_scanner_finds_the_tolerance_table():
+    assert exponent_literals(SRC / "tolerances.py")
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in SRC.glob("*.py") if p.name != "tolerances.py"),
+    ids=lambda p: p.name,
+)
+def test_no_exponent_literal_outside_tolerances(path):
+    assert exponent_literals(path) == []
