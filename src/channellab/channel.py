@@ -109,7 +109,8 @@ class Superoperator:
 
     Construction computes the complex Schur pair ``schur = (t, z)`` of the
     matrix once.  The spectral-radius gate reads the diagonal of `t`, and
-    `spectral.analyze` recovers the eigenvectors from the same pair.
+    `spectral.analyze` reads the spectrum from it and reorders a copy to
+    put the peripheral eigenvalues in the leading block.
     """
 
     dim: int

@@ -71,7 +71,8 @@ def _relative_entropy_to(sigma: np.ndarray) -> Callable[[np.ndarray], float]:
         p = np.linalg.eigvalsh(rho)
         p = p[p > tol.SUPPORT_TOL]
         tr_rho_log_rho = float(np.sum(p * np.log(p)))
-        tr_rho_log_sigma = float(np.real(np.trace(rho @ log_sigma)))
+        # Tr(rho log sigma) = sum_ij rho_ij conj((log sigma)_ij), as log sigma is Hermitian
+        tr_rho_log_sigma = float(np.vdot(log_sigma, rho).real)
         return max(0.0, tr_rho_log_rho - tr_rho_log_sigma)
 
     return evaluate
@@ -123,7 +124,9 @@ def _functional_evaluator(name: str, fixed_point: np.ndarray | None) -> Callable
         return lambda m: opalg.trace_norm(m - fixed_point)
     if name == FUNCTIONAL_RELATIVE_ENTROPY:
         return _relative_entropy_to(fixed_point)
-    return _von_neumann_entropy
+    if name == FUNCTIONAL_VON_NEUMANN:
+        return _von_neumann_entropy
+    raise ValueError(f"unknown functional {name!r}; expected one of {FUNCTIONALS}")
 
 
 def _unique_fixed_point(report: SpectralReport, purpose: str) -> DensityMatrix:
@@ -149,17 +152,15 @@ def orbit(report: SpectralReport, rho0: DensityMatrix, n: int, functionals: tupl
     if rho0.dim != report.dim:
         raise ValueError(f"state dimension {rho0.dim} does not match channel dimension {report.dim}")
     names = tuple(dict.fromkeys(functionals))
-    for name in names:
-        if name not in FUNCTIONALS:
-            raise ValueError(f"unknown functional {name!r}; expected one of {FUNCTIONALS}")
     fixed_point = None
     if any(name in (FUNCTIONAL_TRIVIAL, FUNCTIONAL_RELATIVE_ENTROPY) for name in names):
         fixed_point = _unique_fixed_point(report, "a fixed-point-relative functional").matrix
+    evaluators = {name: _functional_evaluator(name, fixed_point) for name in names}
     states = [rho0.matrix]
     for _ in range(n):
         states.append(step(report.channel, states[-1]))
     DensityMatrix(states[-1])
-    values = {name: tuple(map(_functional_evaluator(name, fixed_point), states)) for name in names}
+    values = {name: tuple(map(evaluate, states)) for name, evaluate in evaluators.items()}
     return OrbitTrace(states=tuple(states), functional_values=values, n_steps=n)
 
 
@@ -209,8 +210,8 @@ def verify_generalized_lyapunov(
     `HypothesisViolation` when the functional's hypotheses fail: the
     trivial and relative-entropy functionals need a unique fixed point,
     and relative entropy additionally needs that fixed point faithful
-    (full rank).  Each trial's values and its fixedness test come from
-    its `orbit`.
+    (full rank).  The functional is bound to the fixed point once per
+    call and evaluated on every trial's `orbit` states.
     """
     if not trial_states:
         raise ValueError("at least one trial state is required")
@@ -218,9 +219,9 @@ def verify_generalized_lyapunov(
     notes: list[str] = []
     fixed_point = None
     if functional in (FUNCTIONAL_TRIVIAL, FUNCTIONAL_RELATIVE_ENTROPY):
-        fixed_point = _unique_fixed_point(report, f"functional {functional!r}")
+        fixed_point = _unique_fixed_point(report, f"functional {functional!r}").matrix
         if functional == FUNCTIONAL_RELATIVE_ENTROPY:
-            min_eig = float(np.linalg.eigvalsh(fixed_point.matrix).min())
+            min_eig = float(np.linalg.eigvalsh(fixed_point).min())
             if min_eig <= tol.SUPPORT_TOL:
                 raise HypothesisViolation(
                     "the relative-entropy criterion requires a faithful (full-rank) fixed point; "
@@ -236,13 +237,14 @@ def verify_generalized_lyapunov(
                 "channel has multiple fixed points: strict increase cannot hold for every "
                 "non-fixed state, so the evidence flag cannot certify mixing"
             )
+    evaluate = _functional_evaluator(functional, fixed_point)
 
     sign = 1.0 if functional == FUNCTIONAL_VON_NEUMANN else -1.0
     records = []
     all_trials_fixed = True
     for idx, rho in enumerate(trial_states):
-        trace = orbit(report, rho, n, (functional,))
-        raw = trace.functional_values[functional]
+        trace = orbit(report, rho, n)
+        raw = tuple(map(evaluate, trace.states))
         oriented = [sign * value for value in raw]
         defect = 0.0
         for k in range(n):
@@ -255,7 +257,7 @@ def verify_generalized_lyapunov(
                 n_strict = k
                 break
         if fixed_point is not None:
-            matches = opalg.trace_norm(rho.matrix - fixed_point.matrix) <= tol.STATE_MATCH_TOL
+            matches = opalg.trace_norm(rho.matrix - fixed_point) <= tol.STATE_MATCH_TOL
         else:
             matches = False
         if opalg.trace_norm(trace.states[1] - trace.states[0]) > tol.STATE_MATCH_TOL:

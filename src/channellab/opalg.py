@@ -1,17 +1,15 @@
 """Dense complex linear-algebra kernel.
 
 All operations work on square (or rectangular, where noted) complex
-``numpy`` arrays in double precision.  Eigen-decompositions of general
-matrices go through the complex Schur form (unitary similarity to upper
-triangular), so eigenvalues stay reliable even for defective inputs;
-eigenvectors are recovered by triangular back-substitution from a Schur
-pair that callers may already hold, and report their worst residual.
+``numpy`` arrays in double precision.  Eigenvalues of general matrices
+come from the complex Schur form (unitary similarity to upper
+triangular), which stays reliable even for defective inputs.  Functions
+of Hermitian matrices share one route (`map_eigenvalues`):
+checked Hermitization, ``eigh``, a map on the eigenvalues, and a rebuild.
 Tolerances come from :mod:`channellab.tolerances`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -45,19 +43,6 @@ def hermitize(m, name: str) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenvalues with matching eigenvector columns and their residual.
-
-    `residual` is the max over pairs of ``||A v - lambda v||_2``.
-    Eigenvector columns have unit 2-norm.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    residual: float
-
-
 def schur(m) -> tuple[np.ndarray, np.ndarray]:
     """Complex Schur pair ``(t, z)`` with ``m = z @ t @ z^dag``.
 
@@ -65,42 +50,6 @@ def schur(m) -> tuple[np.ndarray, np.ndarray]:
     is unitary.  Solver failures propagate as ``numpy.linalg.LinAlgError``.
     """
     return scipy.linalg.schur(as_matrix(m, square=True), output="complex")
-
-
-def general_eig(m, schur_pair: tuple | None = None) -> EigenSystem:
-    """Full complex eigendecomposition of a general square matrix.
-
-    Route: the complex Schur pair ``(t, z)`` of `m` (computed here with
-    `schur`, or passed in as `schur_pair` when the caller already holds
-    it), eigenvalues read off the triangular diagonal, eigenvectors of `t`
-    recovered by one back-substitution sweep over all columns at once and
-    rotated back with `z`.  Near-zero diagonal differences are floored at
-    machine precision times the matrix scale, so defective inputs yield
-    eigenvectors of the achievable quality with honest residuals.  Output
-    is sorted by decreasing modulus, then by phase angle.
-    """
-    a = as_matrix(m, square=True)
-    n = a.shape[0]
-    t, z = schur(a) if schur_pair is None else schur_pair
-    vals = np.diag(t).copy()
-    scale = max(1.0, float(np.abs(t).max(initial=0.0)))
-    floor = np.finfo(float).eps * scale
-    # Column k of y solves (t - vals[k]) y = 0 with y[k] = 1 and y[k+1:] = 0;
-    # row i of every column depends only on rows below it.
-    y = np.eye(n, dtype=complex)
-    for i in range(n - 2, -1, -1):
-        d = t[i, i] - vals[i + 1 :]
-        d[np.abs(d) < floor] = floor
-        y[i, i + 1 :] = -(t[i, i + 1 :] @ y[i + 1 :, i + 1 :]) / d
-    vecs = z @ y
-    # Free y before the sort and the residuals add their n x n temporaries.
-    del y
-    vecs /= np.linalg.norm(vecs, axis=0)
-    order = np.lexsort((np.angle(vals), -np.abs(vals)))
-    vals = vals[order]
-    vecs = vecs[:, order]
-    res = np.linalg.norm(a @ vecs - vecs * vals[np.newaxis, :], axis=0)
-    return EigenSystem(vals, vecs, float(res.max(initial=0.0)))
 
 
 def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -121,6 +70,17 @@ def trace_norm(m) -> float:
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
+def map_eigenvalues(m, f, name: str) -> np.ndarray:
+    """``v f(w) v^dag`` for the eigenpairs ``(w, v)`` of the Hermitian matrix `m`.
+
+    `m` is Hermitized by `hermitize` (which checks it), `f` maps the
+    ascending eigenvalue array, and the result is Hermitized again.
+    """
+    w, v = np.linalg.eigh(hermitize(m, name))
+    out = (v * f(w)) @ v.conj().T
+    return (out + out.conj().T) / 2.0
+
+
 def psd_sqrt(m) -> np.ndarray:
     """Hermitian PSD square root.
 
@@ -128,12 +88,13 @@ def psd_sqrt(m) -> np.ndarray:
     are nonnegative up to rounding; negatives above ``-PSD_REJECT`` are
     clipped to zero, anything below that is rejected.
     """
-    w, v = np.linalg.eigh(hermitize(m, "psd_sqrt input"))
-    if w.size and w.min() < -tol.PSD_REJECT:
-        raise ValueError(f"matrix is materially non-PSD: min eigenvalue {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return (root + root.conj().T) / 2.0
+
+    def root(w: np.ndarray) -> np.ndarray:
+        if w.size and w.min() < -tol.PSD_REJECT:
+            raise ValueError(f"matrix is materially non-PSD: min eigenvalue {w.min():.3e}")
+        return np.sqrt(np.clip(w, 0.0, None))
+
+    return map_eigenvalues(m, root, "psd_sqrt input")
 
 
 def kron(a, b) -> np.ndarray:

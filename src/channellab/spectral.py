@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import opalg
 from . import tolerances as tol
@@ -36,13 +37,14 @@ class SpectralReport:
     The report is the analysis object of one request: `channel` and its
     `superoperator` (with the Schur pair) are built once by `analyze` and
     carried here, so later steps read them instead of rebuilding them.
-    `fixed_points` holds the eigenvalue-1 eigenvectors that survive
-    Hermitization, positivity, and trace normalization (exactly one when
-    the verdict is not `not_ergodic`).  `fixed_point_basis` keeps the full
-    Hermitized candidate basis even when candidates fail positivity, which
-    happens only for degenerate fixed-point sets.  `near_cluster_boundary`
-    flags eigenvalues that sit within a decade of the clustering tolerance
-    around 1, where the multiplicity count is ill-conditioned.
+    `fixed_points` holds `eigenvalue_one_multiplicity` linearly
+    independent fixed states, so they span the fixed-point set (exactly
+    one when the verdict is not `not_ergodic`).  `peripheral_eigenvectors`
+    pairs one unit-norm eigenvector with each entry of `peripheral`, and
+    `max_residual` is the largest ``||S v - lambda v||_2`` over those
+    pairs.  `near_cluster_boundary` flags eigenvalues that sit within a
+    decade of the clustering tolerance around 1, where the multiplicity
+    count is ill-conditioned.
     """
 
     dim: int
@@ -52,7 +54,6 @@ class SpectralReport:
     eigenvalue_one_multiplicity: int
     verdict: str
     fixed_points: tuple
-    fixed_point_basis: tuple = field(repr=False)
     fixed_point_purity: float | None
     peripheral_eigenvectors: tuple = field(repr=False)
     near_cluster_boundary: bool
@@ -61,24 +62,48 @@ class SpectralReport:
     superoperator: Superoperator = field(repr=False, compare=False)
 
 
-def _density_from_candidate(candidate: np.ndarray, psd_tol: float) -> DensityMatrix | None:
-    """Density matrix from a fixed-point candidate, or None.
+def _by_modulus(values: np.ndarray) -> np.ndarray:
+    """Indices that sort `values` by decreasing modulus, then by phase angle."""
+    return np.lexsort((np.angle(values), -np.abs(values)))
 
-    Normalizes the trace, Hermitizes, and clips eigenvalues above
-    ``-psd_tol`` to zero.  Returns None when the candidate is traceless or
-    has an eigenvalue below ``-psd_tol`` after Hermitization.
+
+def _fixed_states(leading: np.ndarray, block: np.ndarray, multiplicity: int) -> tuple:
+    """`multiplicity` linearly independent fixed states spanning the fixed-point set.
+
+    The columns of `leading` span the peripheral invariant subspace of the
+    superoperator, which acts there as `block`.  The fixed-point space is
+    spanned by the right singular vectors of ``block - I`` with the
+    `multiplicity` smallest singular values, mapped back through `leading`.
+    A channel commutes with the adjoint, so the Hermitian matrices
+    ``X + X^dag`` and ``-i (X - X^dag)`` of these operators X span the
+    Hermitian fixed points; a real basis of that span (from their Gram
+    matrix) is split into positive and negative parts, which are fixed as
+    well (M. Wolf, Quantum Channels & Operations: Guided Tour, 2012,
+    ch. 6).  Parts whose trace is at or below
+    ``FIXED_POINT_PSD_TOL`` times their element's trace norm are dropped,
+    the rest are normalized to unit trace, and a pivoted QR picks
+    `multiplicity` linearly independent ones.
     """
-    trace = candidate.trace()
-    if abs(trace) < tol.TRACELESS_TOL:
-        return None
-    herm = candidate / trace
-    herm = (herm + herm.conj().T) / 2.0
-    w, v = np.linalg.eigh(herm)
-    if w[0] < -psd_tol:
-        return None
-    w = np.clip(w, 0.0, None)
-    cleaned = (v * w) @ v.conj().T
-    return DensityMatrix((cleaned + cleaned.conj().T) / 2.0 / cleaned.trace().real)
+    _, _, vh = np.linalg.svd(block - np.eye(len(block)))
+    ops = [unvec(x) for x in (leading @ vh[-multiplicity:].conj().T).T]
+    herm = np.stack([x + x.conj().T for x in ops] + [-1j * (x - x.conj().T) for x in ops])
+    flat = herm.reshape(len(herm), -1)
+    _, coefficients = np.linalg.eigh((flat.conj() @ flat.T).real)
+    parts = []
+    for h in np.tensordot(coefficients[:, -multiplicity:].T, herm, axes=1):
+        pos, neg = (opalg.map_eigenvalues(x, lambda w: np.clip(w, 0.0, None), "fixed-point basis")
+                    for x in (h, -h))
+        norm = pos.trace().real + neg.trace().real
+        parts += [x / x.trace().real for x in (pos, neg) if x.trace().real > tol.FIXED_POINT_PSD_TOL * norm]
+    r, pivots = scipy.linalg.qr(np.stack([x.ravel() for x in parts], axis=1), mode="r", pivoting=True)
+    scale = np.abs(np.diag(r))
+    rank = int((scale > tol.FIXED_POINT_PSD_TOL * scale[0]).sum())
+    if rank < multiplicity:
+        raise InternalInconsistencyError(
+            f"the positive and negative parts of the fixed-point basis have rank {rank}, "
+            f"but the eigenvalue-1 multiplicity is {multiplicity}"
+        )
+    return tuple(DensityMatrix(parts[i]) for i in pivots[:multiplicity])
 
 
 def analyze(c: KrausChannel) -> SpectralReport:
@@ -87,11 +112,16 @@ def analyze(c: KrausChannel) -> SpectralReport:
     Eigenvalues within ``CLUSTER_TOL`` of 1 form the fixed-point cluster;
     its size decides ergodicity.  Eigenvalues of modulus above
     ``1 - PERIPHERAL_TOL`` are peripheral; mixing requires the fixed-point
-    cluster to be the entire peripheral set and simple.
+    cluster to be the entire peripheral set and simple.  The spectrum is
+    the diagonal of the superoperator's Schur form; fixed points and
+    peripheral eigenvectors come from the leading block of that form once
+    it is reordered to put the peripheral eigenvalues first.  A failed
+    reordering raises ``numpy.linalg.LinAlgError``.
     """
     s = to_superoperator(c)
-    system = opalg.general_eig(s.matrix, s.schur)
-    spectrum = system.eigenvalues
+    t, z = s.schur
+    diagonal = np.diag(t)
+    spectrum = diagonal[_by_modulus(diagonal)]
     moduli = np.abs(spectrum)
     peripheral_mask = moduli > 1.0 - tol.PERIPHERAL_TOL
     one_mask = np.abs(spectrum - 1.0) <= tol.CLUSTER_TOL
@@ -116,39 +146,19 @@ def analyze(c: KrausChannel) -> SpectralReport:
     else:
         verdict = VERDICT_ERGODIC_NOT_MIXING
 
-    fixed_points: list[DensityMatrix] = []
-    basis: list[np.ndarray] = []
-    one_indices = np.flatnonzero(one_mask)
-    if multiplicity == 1:
-        theta = unvec(system.eigenvectors[:, one_indices[0]])
-        dm = _density_from_candidate(theta, tol.FIXED_POINT_PSD_TOL)
-        if dm is None:
-            raise InternalInconsistencyError(
-                "eigenvalue-1 eigenvector is traceless or not PSD after Hermitization "
-                "although the eigenvalue-1 multiplicity is 1"
-            )
-        fixed_points.append(dm)
-        basis.append(dm.matrix)
-    else:
-        for idx in one_indices:
-            x = unvec(system.eigenvectors[:, idx])
-            herm = (x + x.conj().T) / 2.0
-            anti = (x - x.conj().T) / 2.0j
-            pick = herm if np.linalg.norm(herm) >= np.linalg.norm(anti) else anti
-            norm = np.linalg.norm(pick)
-            if norm > 0:
-                pick = pick / norm
-            basis.append(pick)
-            dm = _density_from_candidate(pick, tol.PSD_CLIP)
-            if dm is not None:
-                fixed_points.append(dm)
-
+    select = np.abs(diagonal) > 1.0 - tol.PERIPHERAL_TOL
+    t, z, *_, info = scipy.linalg.lapack.ztrsen(select, t, z, job="N")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"reordering the Schur form failed (ztrsen info {info})")
+    p = int(select.sum())
+    leading, block = z[:, :p], t[:p, :p]
+    fixed_points = _fixed_states(leading, block, multiplicity)
     purity = fixed_points[0].purity() if multiplicity == 1 else None
 
-    peripheral_vectors = tuple(
-        unvec(system.eigenvectors[:, i]) / np.linalg.norm(system.eigenvectors[:, i])
-        for i in np.flatnonzero(peripheral_mask)
-    )
+    values, vectors = np.linalg.eig(block)
+    order = _by_modulus(values)
+    vectors = leading @ vectors[:, order]
+    residuals = np.linalg.norm(s.matrix @ vectors - vectors * values[order], axis=0)
 
     return SpectralReport(
         dim=c.dim,
@@ -157,12 +167,11 @@ def analyze(c: KrausChannel) -> SpectralReport:
         kappa=kappa,
         eigenvalue_one_multiplicity=multiplicity,
         verdict=verdict,
-        fixed_points=tuple(fixed_points),
-        fixed_point_basis=tuple(basis),
+        fixed_points=fixed_points,
         fixed_point_purity=purity,
-        peripheral_eigenvectors=peripheral_vectors,
+        peripheral_eigenvectors=tuple(unvec(v) for v in vectors.T),
         near_cluster_boundary=near_boundary,
-        max_residual=system.residual,
+        max_residual=float(residuals.max()),
         channel=c,
         superoperator=s,
     )

@@ -23,8 +23,7 @@ UNITAL_TOL = 1e-9            # max-norm defect of tau(I) = I for a unital channe
 # --- spectral classification --------------------------------------------------
 PERIPHERAL_TOL = 1e-7        # |lambda| > 1 - PERIPHERAL_TOL makes an eigenvalue peripheral
 CLUSTER_TOL = 1e-7           # eigenvalues within CLUSTER_TOL of each other form one cluster
-FIXED_POINT_PSD_TOL = 1e-6   # PSD slack allowed when reconstructing the unique fixed point
-TRACELESS_TOL = 1e-8         # fixed-point candidates with |trace| below this count as traceless
+FIXED_POINT_PSD_TOL = 1e-6   # relative trace (and rank) floor for positive / negative parts of fixed points
 POLAR_TRACE_NORM_TOL = 1e-10 # peripheral eigenvectors with trace norm at or below this count as zero
 FIXED_POINT_RESIDUAL_TOL = 1e-7  # ||tau(rho) - rho||_1 gate for reconstructed fixed points
 PURITY_PURE_TOL = 1e-9       # purity >= 1 - PURITY_PURE_TOL counts as a pure state

@@ -190,6 +190,16 @@ class TestClassify:
         assert rc == 2
         assert "failed validation" in err
 
+    def test_failed_schur_reordering_exits_3(self, capsys, tmp_path, monkeypatch):
+        import scipy.linalg.lapack
+
+        path = emit_to_file(capsys, tmp_path, ["depolarizing", "--param", "p=0.25"], "depol.json")
+        monkeypatch.setattr(scipy.linalg.lapack, "ztrsen", lambda select, t, z, job: (t, z, None, 0, 0.0, 0.0, 1))
+        rc, out, err = run_cli(capsys, ["classify", path])
+        assert rc == 3
+        assert out == ""
+        assert "reordering the Schur form failed" in err
+
     def test_oracle_cross_check_mixing(self, capsys, tmp_path):
         path = emit_to_file(capsys, tmp_path, ["depolarizing", "--param", "p=0.25"], "depol.json")
         rc, out, err = run_cli(capsys, ["classify", path, "--oracle", "--nmax", "100"])

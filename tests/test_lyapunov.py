@@ -64,6 +64,14 @@ class TestFunctionals:
         assert relative_entropy(GROUND_2, MIXED_2) == pytest.approx(math.log(2.0), abs=1e-12)
         assert relative_entropy(GROUND_2, GROUND_2) == pytest.approx(0.0, abs=1e-12)
 
+    def test_relative_entropy_matches_matrix_logarithm_reference(self):
+        import scipy.linalg
+
+        for seed in range(5):
+            rho, sigma = random_state(4, seed), random_state(4, seed + 50)
+            want = np.trace(rho.matrix @ (scipy.linalg.logm(rho.matrix) - scipy.linalg.logm(sigma.matrix))).real
+            assert relative_entropy(rho, sigma) == pytest.approx(want, abs=1e-12)
+
     def test_relative_entropy_kernel_leak_is_infinite(self):
         assert relative_entropy(MIXED_2, GROUND_2) == math.inf
 
@@ -205,6 +213,21 @@ class TestVerify:
                     want = _stepping_verdict(report, functional, trials, 20)
                     got = verify_generalized_lyapunov(report, functional, trials, 20)
                     assert got == want, (label, functional)
+
+    def test_relative_entropy_diagonalizes_the_fixed_point_once(self, monkeypatch):
+        report = analyze(random_channel(4, 3, 7))
+        trials = probe_states(4)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        verdict = verify_generalized_lyapunov(report, FUNCTIONAL_RELATIVE_ENTROPY, trials, 20)
+        assert len(verdict.per_state) == len(trials) == 15
+        assert len(calls) == 1
 
     def test_depolarizing_relative_entropy_is_strict_monotone(self):
         c = build_named("depolarizing", p=0.5)

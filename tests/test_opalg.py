@@ -5,106 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import scipy.linalg
-
-from channellab import opalg, to_superoperator
-from channellab.zoo import example_ergodic_channel
+from channellab import opalg
 
 
 def _random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-class TestGeneralEig:
-    def test_nilpotent(self):
-        a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        system = opalg.general_eig(a)
-        assert np.abs(system.eigenvalues).max() <= 1e-12
-        assert system.residual <= 1e-12
-
-    def test_identity_gives_full_eigenbasis(self):
-        system = opalg.general_eig(np.eye(3))
-        assert np.allclose(system.eigenvalues, 1.0)
-        assert np.linalg.matrix_rank(system.eigenvectors) == 3
-
-    def test_cyclic_permutation_roots_of_unity(self):
-        p = np.roll(np.eye(3), 1, axis=0)
-        system = opalg.general_eig(p)
-        oracle = np.exp(2j * np.pi * np.arange(3) / 3)
-        for lam in system.eigenvalues:
-            assert np.abs(oracle - lam).min() <= 1e-9
-        assert system.residual <= 1e-12
-
-    def test_matches_numpy_on_random_matrix(self):
-        rng = np.random.default_rng(11)
-        a = _random_complex(rng, 5, 5)
-        system = opalg.general_eig(a)
-        oracle = np.linalg.eigvals(a)
-        for lam in system.eigenvalues:
-            assert np.abs(oracle - lam).min() <= 1e-8
-        # every returned pair is a genuine eigenpair
-        for k in range(5):
-            v = system.eigenvectors[:, k]
-            assert np.linalg.norm(a @ v - system.eigenvalues[k] * v) <= 1e-8
-
-    def test_ordering_descending_modulus_then_angle(self):
-        a = np.diag([0.5, -1.0, 1.0, 0.25j])
-        system = opalg.general_eig(a)
-        moduli = np.abs(system.eigenvalues)
-        assert np.all(np.diff(moduli) <= 1e-12)
-        assert system.eigenvalues[0] == pytest.approx(1.0)  # angle 0 before angle pi
-        assert system.eigenvalues[1] == pytest.approx(-1.0)
-
-
-def _per_column_eig(a):
-    """Reference: back-substitute one eigenvector column of the Schur form at a time."""
-    n = a.shape[0]
-    t, z = scipy.linalg.schur(a, output="complex")
-    vals = np.diag(t).copy()
-    floor = np.finfo(float).eps * max(1.0, float(np.abs(t).max()))
-    vecs = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        y = np.zeros(n, dtype=complex)
-        y[k] = 1.0
-        for i in range(k - 1, -1, -1):
-            d = t[i, i] - vals[k]
-            if abs(d) < floor:
-                d = floor
-            y[i] = -(t[i, i + 1 : k + 1] @ y[i + 1 : k + 1]) / d
-        v = z @ y
-        vecs[:, k] = v / np.linalg.norm(v)
-    order = np.lexsort((np.angle(vals), -np.abs(vals)))
-    return vals[order], vecs[:, order]
-
-
-class TestBackSubstitution:
-    @pytest.mark.parametrize("case", ["random_non_normal", "jordan_block", "example_ergodic"])
-    def test_matches_per_column_reference(self, case):
-        if case == "random_non_normal":
-            rng = np.random.default_rng(40)
-            a = np.triu(_random_complex(rng, 40, 40)) + 0.1 * _random_complex(rng, 40, 40)
-        elif case == "jordan_block":
-            # equal diagonal entries: every difference takes the eps * scale floor
-            a = 0.5 * np.eye(6) + np.diag(np.ones(5), 1)
-        else:
-            a = to_superoperator(example_ergodic_channel()).matrix
-        ref_vals, ref_vecs = _per_column_eig(a)
-        system = opalg.general_eig(a)
-        assert np.array_equal(system.eigenvalues, ref_vals)
-        schur_diag = np.diag(scipy.linalg.schur(a, output="complex")[0])
-        order = np.lexsort((np.angle(schur_diag), -np.abs(schur_diag)))
-        assert np.array_equal(system.eigenvalues, schur_diag[order])
-        overlap = np.sum(ref_vecs.conj() * system.eigenvectors, axis=0)
-        aligned = system.eigenvectors * (overlap.conj() / np.abs(overlap))
-        assert np.abs(aligned - ref_vecs).max() <= 1e-12
-
-    def test_given_schur_pair_gives_the_same_system(self):
-        rng = np.random.default_rng(2)
-        a = _random_complex(rng, 12, 12)
-        fresh = opalg.general_eig(a)
-        reused = opalg.general_eig(a, opalg.schur(a))
-        assert np.array_equal(fresh.eigenvalues, reused.eigenvalues)
-        assert np.array_equal(fresh.eigenvectors, reused.eigenvectors)
 
 
 class TestDecompositions:

@@ -1,18 +1,26 @@
 """Spectral classification, convergence speed, and fixed-point reconstruction."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import channellab
 from channellab import (
     DensityMatrix,
+    KrausChannel,
     VERDICT_ERGODIC_NOT_MIXING,
     VERDICT_MIXING,
     VERDICT_NOT_ERGODIC,
     analyze,
     apply,
     calibrate_speed_constant,
+    channel_to_document,
     convergence_bound,
     estimate_rate,
     peripheral_normality_check,
@@ -21,7 +29,7 @@ from channellab import (
 )
 from channellab.opalg import trace_norm
 from channellab.spectral import default_fit_window, report_to_payload
-from channellab.zoo import PAULI_Z, build_named, example_ergodic_channel
+from channellab.zoo import PAULI_Z, build_named, example_ergodic_channel, random_channel
 
 
 def _peripheral_set_matches(report, expected):
@@ -54,7 +62,7 @@ class TestVerdicts:
         assert report.eigenvalue_one_multiplicity == 2
         spectrum = np.sort(report.spectrum.real)
         assert np.abs(spectrum - np.sort([1.0, 1.0, 0.4, 0.4])).max() <= 1e-9
-        assert len(report.fixed_point_basis) == 2
+        assert len(report.fixed_points) == 2
         assert report.fixed_point_purity is None
 
     def test_unitary_conjugation_not_ergodic(self, spectral_reports):
@@ -100,6 +108,62 @@ class TestFixedPoints:
             report = spectral_reports[spec.label]
             for dm in report.fixed_points:
                 assert trace_norm(apply(channel, dm).matrix - dm.matrix) <= 1e-8, spec.label
+
+
+def _direct_sum(dim: int, seed: int, conjugate: bool) -> KrausChannel:
+    """Sum of two seeded Haar-random rank-2 channels of size `dim`, optionally unitarily conjugated."""
+    blocks = (random_channel(dim, 2, seed), random_channel(dim, 2, seed + 100))
+    ops = []
+    for offset, block in zip((0, dim), blocks):
+        for k in block.kraus_ops:
+            op = np.zeros((2 * dim, 2 * dim), dtype=complex)
+            op[offset : offset + dim, offset : offset + dim] = k
+            ops.append(op)
+    if conjugate:
+        u = random_channel(2 * dim, 1, seed + 200).kraus_ops[0]
+        ops = [u @ op @ u.conj().T for op in ops]
+    return KrausChannel(2 * dim, tuple(ops))
+
+
+def _degenerate_cases():
+    cases = [pytest.param(KrausChannel(3, (np.eye(3),)), id="identity(d=3)")]
+    cases.append(pytest.param(build_named("cz-dilation"), id="cz-dilation"))
+    for conjugate in (False, True):
+        kind = "conjugated" if conjugate else "plain"
+        cases += [pytest.param(_direct_sum(8, seed, conjugate), id=f"{kind}-8+8(seed={seed})") for seed in range(1, 9)]
+    return cases
+
+
+class TestCompleteFixedPoints:
+    @pytest.mark.parametrize("channel", _degenerate_cases())
+    def test_fixed_points_span_the_fixed_point_set(self, channel):
+        report = analyze(channel)
+        assert report.verdict == VERDICT_NOT_ERGODIC
+        assert len(report.fixed_points) == report.eigenvalue_one_multiplicity
+        for dm in report.fixed_points:
+            assert np.linalg.eigvalsh(dm.matrix).min() >= -1e-12
+            assert abs(np.trace(dm.matrix) - 1.0) <= 1e-12
+            assert trace_norm(apply(channel, dm).matrix - dm.matrix) <= 1e-10
+        stacked = np.stack([dm.matrix.ravel() for dm in report.fixed_points], axis=1)
+        singular = np.linalg.svd(stacked, compute_uv=False)
+        assert singular[-1] > 1e-6 * singular[0]
+
+    def test_cli_count_does_not_depend_on_blas_threads(self, tmp_path):
+        path = tmp_path / "sum.json"
+        path.write_text(json.dumps(channel_to_document(_direct_sum(12, 4, conjugate=False))))
+        src = str(Path(channellab.__file__).resolve().parents[1])
+        counts = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            proc = subprocess.run(
+                [sys.executable, "-c", "from channellab.cli import console_main; console_main()", "classify", str(path)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            report = json.loads(proc.stdout)["report"]
+            assert report["eigenvalue_one_multiplicity"] == 2
+            counts.append(len(report["fixed_points"]))
+        assert counts == [2, 2]
 
 
 class TestConvergenceBound:
@@ -222,6 +286,20 @@ class TestPeripheralStructure:
     def test_rejects_degenerate_fixed_space(self, spectral_reports):
         with pytest.raises(ValueError, match="ergodic"):
             peripheral_normality_check(spectral_reports["dephasing(p=0.3)"])
+
+    def test_cycle_eigenvectors_pair_with_the_reported_peripheral_values(self):
+        # the d-cycle's peripheral values are the 8th roots of unity, equal in modulus up to roundoff
+        d = 8
+        basis = np.eye(d)
+        c = KrausChannel(d, tuple(np.outer(basis[(j + 1) % d], basis[j]) for j in range(d)))
+        report = analyze(c)
+        assert len(report.peripheral_eigenvectors) == len(report.peripheral) == d
+        s = report.superoperator.matrix
+        for lam, theta in zip(report.peripheral, report.peripheral_eigenvectors):
+            v = theta.flatten(order="F")
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(s @ v - lam * v) <= 1e-12
+        assert report.max_residual <= 1e-12
 
 
 class TestPolarFixedPoint:
