@@ -3,12 +3,19 @@
 A channel is held as its Kraus set ``tau(rho) = sum_n K_n rho K_n^dag``.
 The matrix form acts on column-stacked vectorizations, ``vec(A X B) =
 (B^T (x) A) vec(X)``, so the superoperator is ``S = sum_n conj(K_n) (x)
-K_n``.  Stinespring dilations ``tau(rho) = Tr_B[U (rho (x) |phi><phi|)
-U^dag]`` convert to Kraus sets by slicing the unitary along a bath basis.
+K_n``.  A channel maps Hermitian operators to Hermitian operators, so in
+an orthonormal Hermitian basis (the Bloch basis of `from_bloch`: diagonal
+matrix units and normalized symmetric and antisymmetric off-diagonal
+pairs) its matrix is the real Bloch matrix ``R = U^dag S U``, a Pauli
+transfer matrix with the spectrum of S.  Stinespring dilations
+``tau(rho) = Tr_B[U (rho (x) |phi><phi|) U^dag]`` convert to Kraus sets
+by slicing the unitary along a bath basis.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +37,47 @@ def unvec(v: np.ndarray) -> np.ndarray:
     if d * d != len(v):
         raise ValueError(f"vector of length {len(v)} is not a vectorized square matrix")
     return v.reshape((d, d), order="F")
+
+
+@functools.lru_cache(maxsize=None)
+def _bloch_positions(d: int) -> tuple:
+    """Vec positions of the diagonal, of every ``E_jk`` and of every ``E_kj`` (``j < k``) of d x d matrices.
+
+    They index the Bloch basis: the d diagonal units ``E_jj``, then
+    ``(E_jk + E_kj) / sqrt(2)``, then ``(-i E_jk + i E_kj) / sqrt(2)`` for
+    the pairs ``j < k`` in `numpy.triu_indices` order.  The basis is
+    orthonormal and Hermitian, and each element has at most two nonzero
+    entries, so a change of basis is index arithmetic.
+    """
+    j, k = np.triu_indices(d, 1)
+    out = (np.arange(d) * (d + 1), j + k * d, k + j * d)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def to_bloch(y: np.ndarray) -> np.ndarray:
+    """Bloch coordinates ``U^dag y`` of the vectorized d x d operators in the columns of `y`."""
+    diagonal, upper, lower = _bloch_positions(math.isqrt(y.shape[0]))
+    a, b = y[upper], y[lower]
+    return np.concatenate([y[diagonal], (a + b) * math.sqrt(0.5), (a - b) * (1j * math.sqrt(0.5))])
+
+
+def from_bloch(x: np.ndarray) -> np.ndarray:
+    """Vectorized operators ``U x`` with the Bloch coordinates in the columns of `x`.
+
+    Real coordinates give Hermitian operators exactly: the entries at
+    ``(j, k)`` and ``(k, j)`` are computed as complex conjugates.
+    """
+    d = math.isqrt(x.shape[0])
+    diagonal, upper, lower = _bloch_positions(d)
+    n = len(upper)
+    a, b = x[d : d + n] * math.sqrt(0.5), x[d + n :] * math.sqrt(0.5)
+    out = np.empty(x.shape, dtype=complex)
+    out[diagonal] = x[:d]
+    out[upper] = a - 1j * b
+    out[lower] = a + 1j * b
+    return out
 
 
 @dataclass(frozen=True)
@@ -107,28 +155,43 @@ class KrausChannel:
 class Superoperator:
     """Matrix of a channel's linear extension on vectorized operators.
 
-    Construction computes the complex Schur pair ``schur = (t, z)`` of the
-    matrix once.  The spectral-radius gate reads the diagonal of `t`, and
-    `spectral.analyze` reads the spectrum from it and reorders a copy to
-    put the peripheral eigenvalues in the leading block.
+    Construction computes the real Bloch matrix ``bloch = U^dag S U`` of
+    `matrix` S once and rejects S when it does not map Hermitian operators
+    to Hermitian ones, that is when the Bloch matrix has an imaginary part
+    above ``HERMITICITY_TOL``.  It then computes the real Schur pair
+    ``schur = (t, z)`` of the Bloch matrix, ``bloch = z @ t @ z.T``, and
+    from the same call its `eigenvalues`, the spectrum of S in the order
+    of the diagonal blocks of `t`.  The spectral-radius gate reads them,
+    and `spectral.analyze` reorders a copy of the pair to put the
+    peripheral eigenvalues in the leading block.  Orbit stepping and
+    matrix powers use the complex `matrix`.
     """
 
     dim: int
     matrix: np.ndarray
+    bloch: np.ndarray = field(init=False, repr=False, compare=False)
     schur: tuple = field(init=False, repr=False, compare=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = opalg.as_matrix(self.matrix, square=True, name="superoperator")
         if m.shape[0] != self.dim * self.dim:
             raise ValueError(f"superoperator shape {m.shape} does not match dim {self.dim}")
-        t, z = opalg.schur(m)
-        radius = float(np.abs(np.diag(t)).max())
+        adjoint = to_bloch(to_bloch(m).conj().T)  # (U^dag S U)^dag, real exactly when R is
+        defect = float(np.abs(adjoint.imag).max())
+        if defect > tol.HERMITICITY_TOL:
+            raise ValueError(f"superoperator does not preserve Hermiticity: imaginary Bloch part {defect:.3e}")
+        bloch = np.ascontiguousarray(adjoint.real.T)
+        t, z, eigenvalues = opalg.schur(bloch)
+        radius = float(np.abs(eigenvalues).max())
         if radius > 1.0 + tol.SPECTRAL_RADIUS_TOL:
             raise ValueError(f"superoperator spectral radius {radius:.12f} exceeds 1")
-        for a in (m, t, z):
+        for a in (m, bloch, t, z, eigenvalues):
             a.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "bloch", bloch)
         object.__setattr__(self, "schur", (t, z))
+        object.__setattr__(self, "eigenvalues", eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -256,7 +319,8 @@ def to_superoperator(c: KrausChannel) -> Superoperator:
 
     The identity ``S vec(X) = vec(tau(X))`` is pinned by the test suite on
     every matrix unit, not re-checked here; construction still runs the
-    `Superoperator` spectral-radius gate.
+    `Superoperator` Hermiticity check and spectral-radius gate on the
+    Bloch matrix.
     """
     d = c.dim
     s = np.zeros((d * d, d * d), dtype=complex)
@@ -285,15 +349,15 @@ def compose(c1: KrausChannel, c2: KrausChannel) -> KrausChannel:
     return KrausChannel(c1.dim, ops)
 
 
-def power(c: KrausChannel, n: int) -> np.ndarray:
+def power(s: Superoperator, n: int) -> np.ndarray:
     """Matrix of the `n`-fold iteration, a superoperator matrix power (no Kraus blow-up).
 
-    The superoperator of `c` passes the spectral-radius gate once; its
-    power is returned as a plain matrix, not gated again.
+    `s` has passed the spectral-radius gate once; its power is returned
+    as a plain matrix, not gated again.
     """
     if n < 0:
         raise ValueError("power requires n >= 0")
-    return np.linalg.matrix_power(to_superoperator(c).matrix, n)
+    return np.linalg.matrix_power(s.matrix, n)
 
 
 def is_unital(c: KrausChannel) -> bool:

@@ -314,9 +314,9 @@ def _distinct_pair_distance(dim: int, rho: DensityMatrix, sigma: DensityMatrix) 
 
 
 def asymptotic_deformation_estimate(
-    c: KrausChannel, pairs: list, n: int
+    s: Superoperator, pairs: list, n: int
 ) -> list[tuple[float, float]]:
-    """``(d(rho, sigma), d(tau^n rho, tau^n sigma))`` for each pair.
+    """``(d(rho, sigma), d(tau^n rho, tau^n sigma))`` for each pair, under superoperator `s`.
 
     The channel asymptotically deforms the pair when the horizon distance
     differs from the initial one; mixing is equivalent to every distinct
@@ -324,10 +324,10 @@ def asymptotic_deformation_estimate(
     """
     if n < 1:
         raise ValueError("horizon n must be >= 1")
-    s_n = power(c, n)
+    s_n = power(s, n)
     results = []
     for rho, sigma in pairs:
-        d0 = _distinct_pair_distance(c.dim, rho, sigma)
+        d0 = _distinct_pair_distance(s.dim, rho, sigma)
         results.append((d0, opalg.trace_norm(unvec(s_n @ vec(rho.matrix - sigma.matrix)))))
     return results
 

@@ -1,15 +1,18 @@
-"""Dense complex linear-algebra kernel.
+"""Dense linear-algebra kernel.
 
-All operations work on square (or rectangular, where noted) complex
-``numpy`` arrays in double precision.  Eigenvalues of general matrices
-come from the complex Schur form (unitary similarity to upper
-triangular), which stays reliable even for defective inputs.  Functions
-of Hermitian matrices share one route (`map_eigenvalues`):
+All operations work on square (or rectangular, where noted) ``numpy``
+arrays in double precision, complex unless noted.  A channel's
+eigenvalues come from the real Schur pair of its real Bloch matrix
+(`channel.Superoperator`): an orthogonal similarity to upper
+quasi-triangular form, which stays reliable even for defective inputs.
+Functions of Hermitian matrices share one route (`map_eigenvalues`):
 checked Hermitization, ``eigh``, a map on the eigenvalues, and a rebuild.
 Tolerances come from :mod:`channellab.tolerances`.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.linalg
@@ -17,14 +20,14 @@ import scipy.linalg
 from . import tolerances as tol
 
 
-def as_matrix(m, *, square: bool = False, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D complex array, checking finiteness (and squareness)."""
-    a = np.asarray(m, dtype=complex)
+def as_matrix(m, *, square: bool = False, name: str = "matrix", dtype=complex) -> np.ndarray:
+    """Coerce to a 2-D array of `dtype`, checking finiteness (and squareness)."""
+    a = np.asarray(m, dtype=dtype)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
     if square and a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -43,13 +46,21 @@ def hermitize(m, name: str) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def schur(m) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Schur pair ``(t, z)`` with ``m = z @ t @ z^dag``.
+def schur(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real Schur pair ``(t, z)`` of a real matrix, ``m = z @ t @ z.T``, and its eigenvalues.
 
-    `t` is upper triangular with the eigenvalues on its diagonal and `z`
-    is unitary.  Solver failures propagate as ``numpy.linalg.LinAlgError``.
+    `t` is upper quasi-triangular: a 1x1 diagonal block holds a real
+    eigenvalue and a 2x2 block a complex conjugate pair; `z` is
+    orthogonal.  The eigenvalues ``wr + i wi`` come from the same LAPACK
+    ``dgees`` call, in the order of the diagonal blocks.  Solver failures
+    raise ``numpy.linalg.LinAlgError``.
     """
-    return scipy.linalg.schur(as_matrix(m, square=True), output="complex")
+    a = as_matrix(m, square=True, dtype=float)
+    gees = functools.partial(scipy.linalg.lapack.dgees, lambda *_: None, a)  # no eigenvalue sorting
+    t, _, wr, wi, z, _, info = gees(lwork=int(gees(lwork=-1)[-2][0]))  # workspace query first
+    if info != 0:
+        raise np.linalg.LinAlgError(f"real Schur form not found (dgees info {info})")
+    return t, z, wr + 1j * wi
 
 
 def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

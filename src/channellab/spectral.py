@@ -21,7 +21,7 @@ import scipy.linalg
 
 from . import opalg
 from . import tolerances as tol
-from .channel import DensityMatrix, KrausChannel, Superoperator, step, to_superoperator, unvec, vec
+from .channel import DensityMatrix, KrausChannel, Superoperator, from_bloch, step, to_superoperator, unvec, vec
 from .errors import InternalInconsistencyError
 from .jsonutil import complex_to_pair, matrix_to_json
 
@@ -35,8 +35,9 @@ class SpectralReport:
     """Classification of one channel from its superoperator spectrum.
 
     The report is the analysis object of one request: `channel` and its
-    `superoperator` (with the Schur pair) are built once by `analyze` and
-    carried here, so later steps read them instead of rebuilding them.
+    `superoperator` (with the real Schur pair of its Bloch matrix) are
+    built once by `analyze` and carried here, so later steps read them
+    instead of rebuilding them.
     `fixed_points` holds `eigenvalue_one_multiplicity` linearly
     independent fixed states, so they span the fixed-point set (exactly
     one when the verdict is not `not_ergodic`).  `peripheral_eigenvectors`
@@ -70,27 +71,22 @@ def _by_modulus(values: np.ndarray) -> np.ndarray:
 def _fixed_states(leading: np.ndarray, block: np.ndarray, multiplicity: int) -> tuple:
     """`multiplicity` linearly independent fixed states spanning the fixed-point set.
 
-    The columns of `leading` span the peripheral invariant subspace of the
-    superoperator, which acts there as `block`.  The fixed-point space is
-    spanned by the right singular vectors of ``block - I`` with the
-    `multiplicity` smallest singular values, mapped back through `leading`.
-    A channel commutes with the adjoint, so the Hermitian matrices
-    ``X + X^dag`` and ``-i (X - X^dag)`` of these operators X span the
-    Hermitian fixed points; a real basis of that span (from their Gram
-    matrix) is split into positive and negative parts, which are fixed as
-    well (M. Wolf, Quantum Channels & Operations: Guided Tour, 2012,
-    ch. 6).  Parts whose trace is at or below
+    The orthonormal columns of `leading` span, in Bloch coordinates, the
+    peripheral invariant subspace of the superoperator, which acts there
+    as the real matrix `block`.  The fixed-point space is spanned by the
+    right singular vectors of ``block - I`` with the `multiplicity`
+    smallest singular values, mapped back through `leading`; they are
+    real Bloch coordinates, so the operators are Hermitian by
+    construction.  Each is split into its positive and negative parts,
+    which are fixed as well (M. Wolf, Quantum Channels & Operations:
+    Guided Tour, 2012, ch. 6).  Parts whose trace is at or below
     ``FIXED_POINT_PSD_TOL`` times their element's trace norm are dropped,
     the rest are normalized to unit trace, and a pivoted QR picks
     `multiplicity` linearly independent ones.
     """
     _, _, vh = np.linalg.svd(block - np.eye(len(block)))
-    ops = [unvec(x) for x in (leading @ vh[-multiplicity:].conj().T).T]
-    herm = np.stack([x + x.conj().T for x in ops] + [-1j * (x - x.conj().T) for x in ops])
-    flat = herm.reshape(len(herm), -1)
-    _, coefficients = np.linalg.eigh((flat.conj() @ flat.T).real)
     parts = []
-    for h in np.tensordot(coefficients[:, -multiplicity:].T, herm, axes=1):
+    for h in map(unvec, from_bloch(leading @ vh[-multiplicity:].T).T):
         pos, neg = (opalg.map_eigenvalues(x, lambda w: np.clip(w, 0.0, None), "fixed-point basis")
                     for x in (h, -h))
         norm = pos.trace().real + neg.trace().real
@@ -112,16 +108,15 @@ def analyze(c: KrausChannel) -> SpectralReport:
     Eigenvalues within ``CLUSTER_TOL`` of 1 form the fixed-point cluster;
     its size decides ergodicity.  Eigenvalues of modulus above
     ``1 - PERIPHERAL_TOL`` are peripheral; mixing requires the fixed-point
-    cluster to be the entire peripheral set and simple.  The spectrum is
-    the diagonal of the superoperator's Schur form; fixed points and
-    peripheral eigenvectors come from the leading block of that form once
-    it is reordered to put the peripheral eigenvalues first.  A failed
-    reordering raises ``numpy.linalg.LinAlgError``.
+    cluster to be the entire peripheral set and simple.  The spectrum
+    comes with the real Schur pair of the superoperator's Bloch matrix;
+    fixed points and peripheral eigenvectors come from the leading block
+    of that pair once LAPACK ``dtrsen`` has reordered it to put the
+    peripheral 1x1 and 2x2 blocks first.  A failed reordering raises
+    ``numpy.linalg.LinAlgError``.
     """
     s = to_superoperator(c)
-    t, z = s.schur
-    diagonal = np.diag(t)
-    spectrum = diagonal[_by_modulus(diagonal)]
+    spectrum = s.eigenvalues[_by_modulus(s.eigenvalues)]
     moduli = np.abs(spectrum)
     peripheral_mask = moduli > 1.0 - tol.PERIPHERAL_TOL
     one_mask = np.abs(spectrum - 1.0) <= tol.CLUSTER_TOL
@@ -146,10 +141,11 @@ def analyze(c: KrausChannel) -> SpectralReport:
     else:
         verdict = VERDICT_ERGODIC_NOT_MIXING
 
-    select = np.abs(diagonal) > 1.0 - tol.PERIPHERAL_TOL
-    t, z, *_, info = scipy.linalg.lapack.ztrsen(select, t, z, job="N")
+    # a conjugate pair has one modulus, so both halves of a 2x2 block are selected together
+    select = np.abs(s.eigenvalues) > 1.0 - tol.PERIPHERAL_TOL
+    t, z, *_, info = scipy.linalg.lapack.dtrsen(select, *s.schur, job="N")
     if info != 0:
-        raise np.linalg.LinAlgError(f"reordering the Schur form failed (ztrsen info {info})")
+        raise np.linalg.LinAlgError(f"reordering the Schur form failed (dtrsen info {info})")
     p = int(select.sum())
     leading, block = z[:, :p], t[:p, :p]
     fixed_points = _fixed_states(leading, block, multiplicity)
@@ -157,7 +153,7 @@ def analyze(c: KrausChannel) -> SpectralReport:
 
     values, vectors = np.linalg.eig(block)
     order = _by_modulus(values)
-    vectors = leading @ vectors[:, order]
+    vectors = from_bloch(leading @ vectors[:, order])
     residuals = np.linalg.norm(s.matrix @ vectors - vectors * values[order], axis=0)
 
     return SpectralReport(

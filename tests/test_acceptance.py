@@ -286,7 +286,7 @@ def test_criterion_11_asymptotic_deformation_evidence_matches_mixing(
 ):
     for spec, channel in zoo_entries:
         pairs = list(itertools.combinations(probe_states(channel.dim, seed=0), 2))
-        results = asymptotic_deformation_estimate(channel, pairs, 500)
+        results = asymptotic_deformation_estimate(spectral_reports[spec.label].superoperator, pairs, 500)
         mixing = spectral_reports[spec.label].verdict == VERDICT_MIXING
         assert deformation_evidence(results) == mixing, spec.label
         if spec.name == "unitary":

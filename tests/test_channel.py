@@ -22,7 +22,7 @@ from channellab import (
     to_superoperator,
     validate_cpt,
 )
-from channellab.channel import Superoperator, apply_raw, unvec, vec
+from channellab.channel import Superoperator, apply_raw, from_bloch, unvec, vec
 from channellab.zoo import (
     SWAP,
     build,
@@ -182,18 +182,26 @@ class TestSpectralRadiusGate:
 
     def test_tolerance_edge_on_conjugated_diagonal(self):
         rng = np.random.default_rng(17)
-        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        o, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        u = from_bloch(np.eye(4))
 
         def conjugated(top):
-            return q @ np.diag([top, 0.5, 0.25j, -0.1]) @ q.conj().T
+            block = np.diag([top, 0.5, 0.0, 0.0])
+            block[2:, 2:] = [[0.0, 0.25], [-0.25, 0.0]]  # eigenvalues +-0.25i
+            return u @ o @ block @ o.T @ u.conj().T
 
         with pytest.raises(ValueError, match="spectral radius"):
             Superoperator(2, conjugated(1.0 + 1e-6))
         s = Superoperator(2, conjugated(1.0 + 1e-8))
         t, z = s.schur
-        assert np.abs(np.tril(t, -1)).max() == 0.0
-        assert np.abs(z @ t @ z.conj().T - s.matrix).max() <= 1e-14
-        assert np.abs(np.diag(t)).max() == pytest.approx(1.0 + 1e-8, abs=1e-14)
+        assert np.abs(np.tril(t, -2)).max() == 0.0
+        assert np.abs(u @ z @ t @ z.T @ u.conj().T - s.matrix).max() <= 1e-14
+        assert np.abs(s.eigenvalues).max() == pytest.approx(1.0 + 1e-8, abs=1e-14)
+
+    def test_rejects_map_that_does_not_preserve_hermiticity(self):
+        # X -> iX has spectral radius 1 but maps Hermitian matrices to anti-Hermitian ones
+        with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+            Superoperator(2, 1j * np.eye(4))
 
 
 class TestStinespring:
@@ -242,8 +250,12 @@ class TestAlgebra:
     def test_power_matches_iteration(self):
         c = _random_kraus_channel(2, 2, 47)
         s = to_superoperator(c)
-        assert np.abs(power(c, 5) - np.linalg.matrix_power(s.matrix, 5)).max() <= 1e-10
-        assert np.abs(power(c, 0) - np.eye(4)).max() <= 1e-12
+        x = np.arange(4.0).reshape(2, 2) + 1j
+        iterated = x
+        for _ in range(5):
+            iterated = apply_raw(c, iterated)
+        assert np.abs(unvec(power(s, 5) @ vec(x)) - iterated).max() <= 1e-10
+        assert np.abs(power(s, 0) - np.eye(4)).max() <= 1e-12
 
     def test_is_unital(self):
         assert is_unital(build_named("depolarizing", p=0.5))

@@ -194,7 +194,7 @@ class TestClassify:
         import scipy.linalg.lapack
 
         path = emit_to_file(capsys, tmp_path, ["depolarizing", "--param", "p=0.25"], "depol.json")
-        monkeypatch.setattr(scipy.linalg.lapack, "ztrsen", lambda select, t, z, job: (t, z, None, 0, 0.0, 0.0, 1))
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrsen", lambda select, t, z, job: (t, z, None, None, 0, 0.0, 0.0, 1))
         rc, out, err = run_cli(capsys, ["classify", path])
         assert rc == 3
         assert out == ""

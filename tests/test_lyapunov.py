@@ -290,29 +290,30 @@ class TestVerify:
 class TestDeformation:
     def test_shift_channel_collapses_pairs(self):
         pairs = [(DensityMatrix.basis_state(3, 2), DensityMatrix.basis_state(3, 1))]
-        results = asymptotic_deformation_estimate(example_mixing_channel(), pairs, 2)
+        results = asymptotic_deformation_estimate(to_superoperator(example_mixing_channel()), pairs, 2)
         assert results[0][0] == pytest.approx(2.0, abs=1e-12)
         assert results[0][1] == pytest.approx(0.0, abs=1e-12)
         assert deformation_evidence(results)
 
     def test_population_flip_preserves_pairs(self):
         pairs = [(GROUND_2, DensityMatrix.basis_state(2, 1))]
-        results = asymptotic_deformation_estimate(example_ergodic_channel(), pairs, 2)
+        results = asymptotic_deformation_estimate(to_superoperator(example_ergodic_channel()), pairs, 2)
         assert results[0] == (pytest.approx(2.0), pytest.approx(2.0))
         assert not deformation_evidence(results)
 
     def test_unitary_conjugation_is_isometric(self):
         c = build_named("unitary", theta=1.0)
         pairs = [(random_state(2, seed=k), random_state(2, seed=k + 50)) for k in range(5)]
-        for d0, d_limit in asymptotic_deformation_estimate(c, pairs, 37):
+        for d0, d_limit in asymptotic_deformation_estimate(to_superoperator(c), pairs, 37):
             assert abs(d_limit - d0) <= 1e-10
 
     def test_rejects_identical_pair(self):
         rho = random_state(2, seed=3)
         with pytest.raises(ValueError, match="not distinct"):
-            asymptotic_deformation_estimate(build_named("depolarizing", p=0.5), [(rho, rho)], 5)
+            asymptotic_deformation_estimate(to_superoperator(build_named("depolarizing", p=0.5)), [(rho, rho)], 5)
 
-    def test_builds_one_superoperator(self, monkeypatch):
+    def test_builds_no_superoperator(self, monkeypatch):
+        s = to_superoperator(build_named("depolarizing", p=0.25))
         builds = []
         post_init = Superoperator.__post_init__
 
@@ -322,8 +323,8 @@ class TestDeformation:
 
         monkeypatch.setattr(Superoperator, "__post_init__", counted)
         pairs = [(GROUND_2, DensityMatrix.basis_state(2, 1))]
-        asymptotic_deformation_estimate(build_named("depolarizing", p=0.25), pairs, 500)
-        assert builds == [2]
+        asymptotic_deformation_estimate(s, pairs, 500)
+        assert builds == []
 
 
 class TestWeakContraction:

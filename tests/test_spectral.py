@@ -9,6 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import channellab
 from channellab import (
@@ -26,10 +29,13 @@ from channellab import (
     peripheral_normality_check,
     polar_fixed_point,
     purely_ergodic_shortcut,
+    to_superoperator,
 )
+from channellab.channel import from_bloch
 from channellab.opalg import trace_norm
 from channellab.spectral import default_fit_window, report_to_payload
-from channellab.zoo import PAULI_Z, build_named, example_ergodic_channel, random_channel
+from channellab.tolerances import KRAUS_COMPLETENESS_TOL
+from channellab.zoo import PAULI_Z, build, build_named, catalog, example_ergodic_channel, random_channel
 
 
 def _peripheral_set_matches(report, expected):
@@ -110,19 +116,30 @@ class TestFixedPoints:
                 assert trace_norm(apply(channel, dm).matrix - dm.matrix) <= 1e-8, spec.label
 
 
-def _direct_sum(dim: int, seed: int, conjugate: bool) -> KrausChannel:
-    """Sum of two seeded Haar-random rank-2 channels of size `dim`, optionally unitarily conjugated."""
-    blocks = (random_channel(dim, 2, seed), random_channel(dim, 2, seed + 100))
+def _direct_sum(sizes: tuple, seed: int, conjugate: bool) -> KrausChannel:
+    """Sum of seeded Haar-random channels on blocks of `sizes`, optionally unitarily conjugated.
+
+    Each block has Kraus rank 2 (rank 1 on a single level).
+    """
+    d = sum(sizes)
     ops = []
-    for offset, block in zip((0, dim), blocks):
-        for k in block.kraus_ops:
-            op = np.zeros((2 * dim, 2 * dim), dtype=complex)
-            op[offset : offset + dim, offset : offset + dim] = k
+    offset = 0
+    for i, size in enumerate(sizes):
+        for k in random_channel(size, min(2, size * size), seed + 100 * i).kraus_ops:
+            op = np.zeros((d, d), dtype=complex)
+            op[offset : offset + size, offset : offset + size] = k
             ops.append(op)
+        offset += size
     if conjugate:
-        u = random_channel(2 * dim, 1, seed + 200).kraus_ops[0]
+        u = random_channel(d, 1, seed + 200).kraus_ops[0]
         ops = [u @ op @ u.conj().T for op in ops]
-    return KrausChannel(2 * dim, tuple(ops))
+    return KrausChannel(d, tuple(ops))
+
+
+def _cycle(d: int) -> KrausChannel:
+    """The completely decoherent d-cycle |j> -> |j+1 mod d>."""
+    basis = np.eye(d)
+    return KrausChannel(d, tuple(np.outer(basis[(j + 1) % d], basis[j]) for j in range(d)))
 
 
 def _degenerate_cases():
@@ -130,7 +147,7 @@ def _degenerate_cases():
     cases.append(pytest.param(build_named("cz-dilation"), id="cz-dilation"))
     for conjugate in (False, True):
         kind = "conjugated" if conjugate else "plain"
-        cases += [pytest.param(_direct_sum(8, seed, conjugate), id=f"{kind}-8+8(seed={seed})") for seed in range(1, 9)]
+        cases += [pytest.param(_direct_sum((8, 8), seed, conjugate), id=f"{kind}-8+8(seed={seed})") for seed in range(1, 9)]
     return cases
 
 
@@ -150,7 +167,7 @@ class TestCompleteFixedPoints:
 
     def test_cli_count_does_not_depend_on_blas_threads(self, tmp_path):
         path = tmp_path / "sum.json"
-        path.write_text(json.dumps(channel_to_document(_direct_sum(12, 4, conjugate=False))))
+        path.write_text(json.dumps(channel_to_document(_direct_sum((12, 12), 4, conjugate=False))))
         src = str(Path(channellab.__file__).resolve().parents[1])
         counts = []
         for threads in ("1", "2"):
@@ -290,9 +307,7 @@ class TestPeripheralStructure:
     def test_cycle_eigenvectors_pair_with_the_reported_peripheral_values(self):
         # the d-cycle's peripheral values are the 8th roots of unity, equal in modulus up to roundoff
         d = 8
-        basis = np.eye(d)
-        c = KrausChannel(d, tuple(np.outer(basis[(j + 1) % d], basis[j]) for j in range(d)))
-        report = analyze(c)
+        report = analyze(_cycle(d))
         assert len(report.peripheral_eigenvectors) == len(report.peripheral) == d
         s = report.superoperator.matrix
         for lam, theta in zip(report.peripheral, report.peripheral_eigenvectors):
@@ -363,3 +378,66 @@ def test_analyze_on_identity_channel():
     assert report.verdict == VERDICT_NOT_ERGODIC
     assert report.eigenvalue_one_multiplicity == 4
     assert report.kappa == pytest.approx(0.0, abs=1e-12)
+
+
+def _bloch_cases():
+    cases = [pytest.param(build(spec), id=spec.label) for spec in catalog()]
+    cases += [pytest.param(random_channel(d, rank, 7 * d + rank), id=f"random(d={d},rank={rank})")
+              for d in (2, 3, 5, 8) for rank in (1, 3)]
+    cases += [pytest.param(_cycle(d), id=f"cycle(d={d})") for d in (2, 3, 5, 8)]
+    for conjugate in (False, True):
+        kind = "conjugated" if conjugate else "plain"
+        cases += [pytest.param(_direct_sum((dim, dim), dim, conjugate), id=f"{kind}-{dim}+{dim}") for dim in (2, 3, 4)]
+    return cases
+
+
+class TestBlochMatrix:
+    """The real Bloch matrix and its Schur pair, pinned here instead of re-checked at runtime."""
+
+    @pytest.mark.parametrize("channel", _bloch_cases())
+    def test_bloch_identity(self, channel):
+        d = channel.dim
+        s = to_superoperator(channel)
+        u = from_bloch(np.eye(d * d))
+        assert np.abs(u.conj().T @ u - np.eye(d * d)).max() <= 1e-15
+        for column in u.T:
+            b = column.reshape((d, d), order="F")
+            assert np.array_equal(b, b.conj().T)
+        exact = u.conj().T @ s.matrix @ u
+        assert np.abs(exact.imag).max() <= 1e-14
+        assert np.abs(s.bloch - exact).max() <= 1e-13
+        # trace preservation: the trace functional, (1, ..., 1, 0, ...) over the diagonal units, is a left fixed vector
+        trace_row = np.r_[np.ones(d), np.zeros(d * d - d)]
+        assert np.abs(trace_row @ s.bloch - trace_row).max() <= KRAUS_COMPLETENESS_TOL
+        t, z = s.schur
+        assert np.abs(np.tril(t, -2)).max() == 0.0
+        assert np.abs(z @ t @ z.T - s.bloch).max() <= 1e-13
+        reference = np.linalg.eigvals(s.matrix)
+        rows, cols = linear_sum_assignment(np.abs(s.eigenvalues[:, None] - reference[None, :]))
+        assert np.abs(s.eigenvalues[rows] - reference[cols]).max() <= 1e-12
+
+
+def _conjugation_family(kind: str, d: int, seed: int) -> KrausChannel:
+    if kind == "random":
+        return random_channel(d, 1 + seed % 3, seed)
+    if kind == "cycle":
+        return _cycle(d)
+    a = 1 + seed % (d - 1)
+    return _direct_sum((a, d - a), seed, conjugate=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    d=st.integers(min_value=2, max_value=6),
+    kind=st.sampled_from(["random", "cycle", "direct-sum"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 2),
+)
+def test_unitary_conjugation_keeps_verdict_multiplicity_and_kappa(d, kind, seed):
+    # conjugation mixes every Bloch coordinate, so the real route runs off the catalog's sparse structure
+    tau = _conjugation_family(kind, d, seed)
+    v = random_channel(d, 1, seed + 1).kraus_ops[0]
+    conjugated = KrausChannel(d, tuple(v @ k @ v.conj().T for k in tau.kraus_ops))
+    before, after = analyze(tau), analyze(conjugated)
+    assert after.verdict == before.verdict
+    assert after.eigenvalue_one_multiplicity == before.eigenvalue_one_multiplicity
+    assert after.kappa == pytest.approx(before.kappa, abs=1e-10)
