@@ -3,8 +3,9 @@
 A channel is held as its Kraus set ``tau(rho) = sum_n K_n rho K_n^dag``.
 The matrix form acts on column-stacked vectorizations, ``vec(A X B) =
 (B^T (x) A) vec(X)``, so the superoperator is ``S = sum_n conj(K_n) (x)
-K_n``.  A channel maps Hermitian operators to Hermitian operators, so in
-an orthonormal Hermitian basis (the Bloch basis of `from_bloch`: diagonal
+K_n``, one product of the stacked Kraus operators (`to_superoperator`).
+A channel maps Hermitian operators to Hermitian operators, so in an
+orthonormal Hermitian basis (the Bloch basis of `from_bloch`: diagonal
 matrix units and normalized symmetric and antisymmetric off-diagonal
 pairs) its matrix is the real Bloch matrix ``R = U^dag S U``, a Pauli
 transfer matrix with the spectrum of S.  Stinespring dilations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import opalg
 from . import tolerances as tol
-from .jsonutil import json_to_matrix, json_to_vector, matrix_to_json, vector_to_json
+from .jsonutil import complex_to_json, json_to_matrix, json_to_vector
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -317,15 +318,17 @@ def apply(c: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
 def to_superoperator(c: KrausChannel) -> Superoperator:
     """Matrix form ``S = sum_n conj(K_n) (x) K_n`` (column-stacking convention).
 
-    The identity ``S vec(X) = vec(tau(X))`` is pinned by the test suite on
-    every matrix unit, not re-checked here; construction still runs the
-    `Superoperator` Hermiticity check and spectral-radius gate on the
-    Bloch matrix.
+    With ``A`` the r x d^2 stack of the row-major flattened ``K_n``, both S
+    and the product ``A^dag A`` hold ``sum_n conj(K_n[i, k]) K_n[j, l]``, S
+    at ``(i d + j, k d + l)`` and ``A^dag A`` at ``(i d + k, j d + l)``: S is
+    one matrix product with two of its four d-sized indices swapped.  The
+    identity ``S vec(X) = vec(tau(X))`` is pinned by the test suite on every
+    matrix unit, not re-checked here; construction still runs the
+    `Superoperator` Hermiticity check and spectral-radius gate.
     """
     d = c.dim
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for k in c.kraus_ops:
-        s += np.kron(k.conj(), k)
+    a = np.reshape(c.kraus_ops, (len(c.kraus_ops), d * d))
+    s = (a.conj().T @ a).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     return Superoperator(d, s)
 
 
@@ -418,7 +421,7 @@ def channel_from_document(doc) -> KrausChannel:
 
 
 def channel_to_document(c: KrausChannel) -> dict:
-    doc = {"dim": c.dim, "kraus": [matrix_to_json(k) for k in c.kraus_ops]}
+    doc = {"dim": c.dim, "kraus": [complex_to_json(k) for k in c.kraus_ops]}
     if c.label is not None:
         doc["label"] = c.label
     return doc
@@ -429,8 +432,8 @@ def stinespring_to_document(d: StinespringDilation, label: str | None = None) ->
         "stinespring": {
             "dimA": d.dim_a,
             "dimB": d.dim_b,
-            "unitary": matrix_to_json(d.unitary),
-            "bath_state": vector_to_json(d.bath_state),
+            "unitary": complex_to_json(d.unitary),
+            "bath_state": complex_to_json(d.bath_state),
         }
     }
     if label is not None:

@@ -38,7 +38,7 @@ from .dilation import (
     instance_to_document,
 )
 from .errors import HypothesisViolation, InternalInconsistencyError
-from .jsonutil import canonical_json, input_digest, json_to_matrix, matrix_to_json, vector_to_json
+from .jsonutil import canonical_json, complex_to_json, input_digest, json_to_matrix
 from .lyapunov import (
     FUNCTIONAL_TRIVIAL,
     FUNCTIONALS,
@@ -206,7 +206,7 @@ def _cmd_dilation(args) -> int:
         "factorizing": {
             "count": fact.count,
             "verdict": fact.verdict,
-            "states": [vector_to_json(nu) for nu in fact.states],
+            "states": [complex_to_json(nu) for nu in fact.states],
             "unitary_eigenvalues": [[z.real, z.imag] for z in fact.unitary_eigenvalues],
             "residuals": list(fact.residuals),
             "n_clusters": fact.n_clusters,
@@ -251,7 +251,7 @@ def _cmd_cesaro(args) -> int:
     final_avg = averages[args.n]
     payload = {
         "n": args.n,
-        "average": matrix_to_json(final_avg.matrix),
+        "average": complex_to_json(final_avg.matrix),
         "distance_to_fixed_point": rate_table[-1]["distance"],
         "rate_table": rate_table,
     }

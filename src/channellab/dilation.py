@@ -28,7 +28,7 @@ from .channel import (
     stinespring_from_document,
 )
 from .errors import HypothesisViolation, InternalInconsistencyError
-from .jsonutil import json_to_matrix, matrix_to_json, vector_to_json
+from .jsonutil import complex_to_json, json_to_matrix
 from .spectral import VERDICT_MIXING, VERDICT_NOT_ERGODIC, analyze
 
 EXTREMAL_MAX = "max"
@@ -397,9 +397,9 @@ def instance_to_document(cd: ConservedDilation) -> dict:
     return {
         "dimA": cd.dim_a,
         "dimB": cd.dim_b,
-        "unitary": matrix_to_json(cd.dilation.unitary),
-        "bath_state": vector_to_json(cd.dilation.bath_state),
-        "mA": matrix_to_json(cd.m_a),
-        "mB": matrix_to_json(cd.m_b),
+        "unitary": complex_to_json(cd.dilation.unitary),
+        "bath_state": complex_to_json(cd.dilation.bath_state),
+        "mA": complex_to_json(cd.m_a),
+        "mB": complex_to_json(cd.m_b),
         "extremal": cd.extremal,
     }

@@ -1,121 +1,138 @@
 """JSON wire helpers.
 
 Complex numbers travel as ``[re, im]`` pairs and matrices as row lists of
-such pairs.  ``canonical_json`` is a deterministic serializer: object keys
-are sorted, floats are emitted with 17 significant digits (exact round
-trip), and infinities become the string sentinels ``"inf"`` / ``"-inf"``
-(JSON has no infinity literal).
+such pairs, converted as whole arrays: out by one ``tolist``; in by one
+check per row, one ``set(map(type, ...))`` over all entries (numbers are
+``int`` or ``float``, not ``bool``), one ``np.array`` and one ``isfinite``
+(an integer beyond the double range is not finite).  A rejected input
+raises the error of its first faulty entry.  ``canonical_json`` is a
+deterministic serializer: object keys are sorted, floats are emitted with
+17 significant digits (exact round trip), and infinities become the
+string sentinels ``"inf"`` / ``"-inf"`` (JSON has no infinity literal).
+It dispatches on exact types and writes a list of finite floats, or of
+``[re, im]`` pairs of them, with one ``str.join``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
+from itertools import chain, starmap
+from json.encoder import encode_basestring
 
 import numpy as np
 
-
-def complex_to_pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    m = np.asarray(m, dtype=complex)
-    return [[complex_to_pair(z) for z in row] for row in m]
+_NUMBERS = {int, float}
+_PAIR_TYPES = {list, tuple}
+_FLOAT = "{:.17g}".format
+_PAIR = "[{:.17g},{:.17g}]".format
 
 
-def vector_to_json(v: np.ndarray) -> list[list[float]]:
-    return [complex_to_pair(z) for z in np.asarray(v, dtype=complex)]
+def complex_to_json(a: np.ndarray) -> list:
+    """Nested lists of ``[re, im]`` pairs of a complex array of any shape."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
-def _pair_to_complex(entry, what: str) -> complex:
-    if (
-        not isinstance(entry, (list, tuple))
-        or len(entry) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
+def _is_pair(entry) -> bool:
+    return type(entry) in _PAIR_TYPES and len(entry) == 2 and set(map(type, entry)) <= _NUMBERS
+
+
+def _pairs(entries: list, what: str) -> np.ndarray:
+    """Complex vector of ``[re, im]`` pairs, or the error of the first faulty entry."""
+    good = len(entries)
+    if not (
+        set(map(type, entries)) <= _PAIR_TYPES
+        and set(map(len, entries)) <= {2}
+        and set(map(type, chain.from_iterable(entries))) <= _NUMBERS
     ):
-        raise ValueError(f"{what}: each entry must be a [re, im] pair of numbers")
-    z = complex(float(entry[0]), float(entry[1]))
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        good = next(n for n, e in enumerate(entries) if not _is_pair(e))
+    try:  # the entries before a bad one may hold an earlier fault
+        parts = np.array(list(chain.from_iterable(entries[:good])), dtype=float)
+        finite = np.isfinite(parts).all()
+    except OverflowError:  # an integer beyond the double range
+        finite = False
+    if not finite:
         raise ValueError(f"{what}: entries must be finite")
-    return z
+    if good < len(entries):
+        raise ValueError(f"{what}: each entry must be a [re, im] pair of numbers")
+    return parts.view(complex)
 
 
 def json_to_matrix(rows, what: str = "matrix") -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise ValueError(f"{what}: expected a nonempty list of rows")
-    parsed = []
-    width = None
-    for row in rows:
-        if not isinstance(row, list) or not row:
+    width = len(rows[0]) if isinstance(rows[0], list) else 0
+    bad = next((n for n, r in enumerate(rows) if not isinstance(r, list) or not r or len(r) != width), None)
+    values = _pairs(list(chain.from_iterable(rows[:bad])), what)  # entry faults of earlier rows come first
+    if bad is not None:
+        if not isinstance(rows[bad], list) or not rows[bad]:
             raise ValueError(f"{what}: each row must be a nonempty list")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValueError(f"{what}: rows have inconsistent lengths")
-        parsed.append([_pair_to_complex(e, what) for e in row])
-    return np.array(parsed, dtype=complex)
+        raise ValueError(f"{what}: rows have inconsistent lengths")
+    return values.reshape(len(rows), width)
 
 
 def json_to_vector(entries, what: str = "vector") -> np.ndarray:
     if not isinstance(entries, list) or not entries:
         raise ValueError(f"{what}: expected a nonempty list of [re, im] pairs")
-    return np.array([_pair_to_complex(e, what) for e in entries], dtype=complex)
+    return _pairs(entries, what)
 
 
-def _format_float(x: float) -> str:
+def _float_text(x) -> str:
+    x = float(x)
     if math.isnan(x):
         raise ValueError("NaN is not representable in report JSON")
     if math.isinf(x):
         return '"inf"' if x > 0 else '"-inf"'
-    text = format(x, ".17g")
-    return text
+    return _FLOAT(x)
 
 
-def _write(obj, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_format_float(float(obj)))
-    elif isinstance(obj, dict):
-        out.append("{")
-        first = True
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"object keys must be strings, got {type(key).__name__}")
-            if not first:
-                out.append(",")
-            first = False
-            out.append(json.dumps(key, ensure_ascii=False))
-            out.append(":")
-            _write(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _write(item, out)
-        out.append("]")
+def _finite_floats(values) -> bool:
+    values = list(values)
+    return set(map(type, values)) == {float} and all(map(math.isfinite, values))
+
+
+def _array_text(items) -> str:
+    pairs = set(map(type, items)) == {list} and set(map(len, items)) == {2}
+    if _finite_floats(items):
+        body = ",".join(map(_FLOAT, items))
+    elif pairs and _finite_floats(chain.from_iterable(items)):
+        body = ",".join(starmap(_PAIR, items))
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}; encode it first")
+        body = ",".join(map(_text, items))
+    return "[" + body + "]"
+
+
+def _key_text(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"object keys must be strings, got {type(key).__name__}")
+    return encode_basestring(key)
+
+
+def _object_text(obj: dict) -> str:
+    return "{" + ",".join(_key_text(key) + ":" + _text(obj[key]) for key in sorted(obj)) + "}"
+
+
+def _int_text(n) -> str:
+    return str(int(n))
+
+
+_WRITERS = {type(None): lambda _: "null", bool: lambda b: "true" if b else "false", str: encode_basestring}
+_WRITERS |= {int: _int_text, np.integer: _int_text, float: _float_text, np.floating: _float_text}
+_WRITERS |= {dict: _object_text, list: _array_text, tuple: _array_text}
+
+
+def _text(obj) -> str:
+    """JSON text of `obj` by the writer of its exact type, else of its nearest registered base class."""
+    for kind in type(obj).__mro__:
+        if kind in _WRITERS:
+            return _WRITERS[kind](obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}; encode it first")
 
 
 def canonical_json(obj) -> str:
     """Deterministic JSON text for `obj` (sorted keys, 17-digit floats)."""
-    out: list[str] = []
-    _write(obj, out)
-    return "".join(out)
+    return _text(obj)
 
 
 def input_digest(doc) -> str:

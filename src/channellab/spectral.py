@@ -23,7 +23,7 @@ from . import opalg
 from . import tolerances as tol
 from .channel import DensityMatrix, KrausChannel, Superoperator, from_bloch, step, to_superoperator, unvec, vec
 from .errors import InternalInconsistencyError
-from .jsonutil import complex_to_pair, matrix_to_json
+from .jsonutil import complex_to_json
 
 VERDICT_MIXING = "mixing"
 VERDICT_ERGODIC_NOT_MIXING = "ergodic_not_mixing"
@@ -176,11 +176,11 @@ def analyze(c: KrausChannel) -> SpectralReport:
 def report_to_payload(report: SpectralReport) -> dict:
     """JSON payload for a spectral report."""
     return {
-        "spectrum": [complex_to_pair(z) for z in report.spectrum],
-        "peripheral": [complex_to_pair(z) for z in report.peripheral],
+        "spectrum": complex_to_json(report.spectrum),
+        "peripheral": complex_to_json(report.peripheral),
         "kappa": report.kappa,
         "verdict": report.verdict,
-        "fixed_points": [matrix_to_json(dm.matrix) for dm in report.fixed_points],
+        "fixed_points": [complex_to_json(dm.matrix) for dm in report.fixed_points],
         "purity": report.fixed_point_purity,
         "eigenvalue_one_multiplicity": report.eigenvalue_one_multiplicity,
         "near_cluster_boundary": report.near_cluster_boundary,

@@ -160,6 +160,17 @@ class TestAction:
                     column = s.matrix[:, col * d + row]
                     assert np.abs(column - vec(apply_raw(c, unit))).max() <= 1e-12, (c.label, row, col)
 
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    @pytest.mark.parametrize("rank", ["1", "2", "d", "d^2+1"])
+    def test_superoperator_is_the_kron_sum(self, dim, rank):
+        r = {"1": 1, "2": 2, "d": dim, "d^2+1": dim * dim + 1}[rank]
+        # Row blocks of a random isometry C^d -> C^(d r): a channel of any rank, including r > d^2.
+        g = np.random.default_rng([dim, r]).standard_normal((dim * r, dim, 2)).view(complex)[..., 0]
+        q = np.linalg.qr(g)[0]
+        c = KrausChannel(dim, tuple(q[n * dim : (n + 1) * dim] for n in range(r)))
+        kron_sum = sum(np.kron(k.conj(), k) for k in c.kraus_ops)
+        assert np.abs(to_superoperator(c).matrix - kron_sum).max() <= 1e-14
+
     def test_superoperator_spectrum_example_ergodic(self):
         s = to_superoperator(example_ergodic_channel())
         eig = np.sort_complex(np.linalg.eigvals(s.matrix))

@@ -11,7 +11,7 @@ import channellab
 from channellab import cli, dilation, spectral
 from channellab.channel import DensityMatrix, Superoperator
 from channellab.cli import main
-from channellab.jsonutil import matrix_to_json
+from channellab.jsonutil import complex_to_json
 
 
 def run_cli(capsys, argv):
@@ -53,6 +53,7 @@ MALFORMED_DOCS = {
     "non-square": {"dim": 2, "kraus": [[[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]]]},
     "string-entries": {"dim": 1, "kraus": [[[["1", "0"]]]]},
     "nan-literal": {"dim": 1, "kraus": [[[[float("nan"), 0.0]]]]},
+    "huge-integer-entry": {"dim": 1, "kraus": [[[[10**400, 0]]]]},
     "overflowing-kraus": OVERFLOWING_DOC,
     "overflowing-stinespring": OVERFLOWING_STINESPRING_DOC,
     "dim-vs-dimA": {
@@ -60,7 +61,7 @@ MALFORMED_DOCS = {
         "stinespring": {
             "dimA": 2,
             "dimB": 1,
-            "unitary": matrix_to_json(np.eye(2, dtype=complex)),
+            "unitary": complex_to_json(np.eye(2, dtype=complex)),
             "bath_state": [[1.0, 0.0]],
         },
     },
@@ -307,11 +308,18 @@ class TestOrbit:
 
     def test_inline_state_matrix(self, capsys, tmp_path):
         path = emit_to_file(capsys, tmp_path, ["example-ergodic"], "erg.json")
-        inline = json.dumps(matrix_to_json(np.diag([1.0, 0.0]).astype(complex)))
+        inline = json.dumps(complex_to_json(np.diag([1.0, 0.0]).astype(complex)))
         rc, out, err = run_cli(capsys, ["orbit", path, "--state", inline, "--n", "1"])
         assert rc == 0
         first = json.loads(out.strip().splitlines()[0])
         assert first["distance_to_fixed_point"] == pytest.approx(1.0)
+
+    def test_inline_state_with_integer_beyond_double_range(self, capsys, tmp_path):
+        path = emit_to_file(capsys, tmp_path, ["example-ergodic"], "erg.json")
+        inline = f"[[[{10**400}, 0], [0, 0]], [[0, 0], [0, 0]]]"
+        rc, out, err = run_cli(capsys, ["orbit", path, "--state", inline, "--n", "1"])
+        assert rc == 2 and out == ""
+        assert err == "invalid input: state: entries must be finite\n"
 
 
 class TestCesaro:
@@ -370,7 +378,7 @@ class TestDilation:
         rc, out, err = run_cli(capsys, ["zoo-emit", "cz-dilation", "--instance"])
         assert rc == 0
         doc = json.loads(out)
-        doc["unitary"] = matrix_to_json(np.kron(np.array([[0, 1], [1, 0]]), np.eye(2)).astype(complex))
+        doc["unitary"] = complex_to_json(np.kron(np.array([[0, 1], [1, 0]]), np.eye(2)).astype(complex))
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(doc))
         rc, out, err = run_cli(capsys, ["dilation", str(path)])
