@@ -129,26 +129,28 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A channel held as a nonempty tuple of square Kraus operators.
+    """A channel held as a nonempty stack of square Kraus operators.
 
-    Construction checks shapes only; CPT membership is a separate,
-    reported check (`validate_cpt`).
+    `kraus_ops` is one read-only (r, dim, dim) complex array; iterating,
+    indexing and ``len`` see the r operators.  Construction checks shapes
+    only; CPT membership is a separate, reported check (`validate_cpt`).
     """
 
     dim: int
-    kraus_ops: tuple
+    kraus_ops: np.ndarray
     label: str | None = None
 
     def __post_init__(self):
         if self.dim <= 0:
             raise ValueError("dim must be positive")
-        ops = tuple(opalg.as_matrix(k, square=True, name="Kraus operator") for k in self.kraus_ops)
+        ops = [opalg.as_matrix(k, square=True, name="Kraus operator") for k in self.kraus_ops]
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
         for k in ops:
             if k.shape != (self.dim, self.dim):
                 raise ValueError(f"Kraus operator shape {k.shape} does not match dim {self.dim}")
-            k.setflags(write=False)
+        ops = np.stack(ops)
+        ops.setflags(write=False)
         object.__setattr__(self, "kraus_ops", ops)
 
 
@@ -285,8 +287,9 @@ def validate_cpt(c: KrausChannel) -> ValidationReport:
 
 
 def apply_raw(c: KrausChannel, m: np.ndarray) -> np.ndarray:
-    """The channel's action on an arbitrary operator (no state validation)."""
-    return sum(k @ m @ k.conj().T for k in c.kraus_ops)
+    """``sum_n K_n m K_n^dag`` (no state validation): one stacked product, its r terms added in order."""
+    ops = c.kraus_ops
+    return (ops @ m @ ops.conj().transpose(0, 2, 1)).sum(0)
 
 
 def step(c: KrausChannel, m: np.ndarray) -> np.ndarray:
@@ -327,7 +330,7 @@ def to_superoperator(c: KrausChannel) -> Superoperator:
     `Superoperator` Hermiticity check and spectral-radius gate.
     """
     d = c.dim
-    a = np.reshape(c.kraus_ops, (len(c.kraus_ops), d * d))
+    a = c.kraus_ops.reshape(len(c.kraus_ops), d * d)
     s = (a.conj().T @ a).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     return Superoperator(d, s)
 
@@ -421,7 +424,7 @@ def channel_from_document(doc) -> KrausChannel:
 
 
 def channel_to_document(c: KrausChannel) -> dict:
-    doc = {"dim": c.dim, "kraus": [complex_to_json(k) for k in c.kraus_ops]}
+    doc = {"dim": c.dim, "kraus": complex_to_json(c.kraus_ops)}
     if c.label is not None:
         doc["label"] = c.label
     return doc

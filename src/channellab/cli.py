@@ -2,8 +2,9 @@
 
 Commands: ``validate``, ``classify``, ``orbit``, ``dilation``, ``cesaro``,
 ``zoo-list``, ``zoo-emit``.  Envelope-producing commands print one
-canonical-JSON object to stdout; ``orbit`` streams JSON lines; ``zoo-emit``
-prints a raw input document that the other commands accept.
+canonical-JSON object to stdout; ``orbit`` writes one JSON line per
+step; ``zoo-emit`` prints a raw input document that the other commands
+accept.
 
 Exit codes: 0 success, 1 usage or parse error, 2 validation or hypothesis
 failure, 3 numerical failure.  Output is byte-deterministic for a given
@@ -38,7 +39,7 @@ from .dilation import (
     instance_to_document,
 )
 from .errors import HypothesisViolation, InternalInconsistencyError
-from .jsonutil import canonical_json, complex_to_json, input_digest, json_to_matrix
+from .jsonutil import canonical_json, canonical_json_rows, complex_to_json, input_digest, json_to_matrix
 from .lyapunov import (
     FUNCTIONAL_TRIVIAL,
     FUNCTIONALS,
@@ -177,15 +178,14 @@ def _cmd_orbit(args) -> int:
     report = analyze(c)
     unique = report.verdict != VERDICT_NOT_ERGODIC
     requested = (*functionals, FUNCTIONAL_TRIVIAL) if unique else tuple(functionals)
-    trace = orbit(report, rho0, max(args.n, 1), requested)
-    values = trace.functional_values
-    for k in range(args.n + 1):
-        record = {
-            "n": k,
-            "distance_to_fixed_point": values[FUNCTIONAL_TRIVIAL][k] if unique else None,
-            "functionals": {name: values[name][k] for name in functionals},
-        }
-        sys.stdout.write(canonical_json(record) + "\n")
+    values = orbit(report, rho0, max(args.n, 1), requested).functional_values
+    rows = args.n + 1
+    columns = {
+        "n": range(rows),
+        "distance_to_fixed_point": values[FUNCTIONAL_TRIVIAL][:rows] if unique else [None] * rows,
+        "functionals": {name: values[name][:rows] for name in functionals},
+    }
+    sys.stdout.write("".join(line + "\n" for line in canonical_json_rows(columns, rows)))
     return 0
 
 
@@ -241,13 +241,8 @@ def _cmd_cesaro(args) -> int:
     rate_table = []
     for n in checkpoints:
         distance = trivial_lyapunov(averages[n], fixed_point) if fixed_point is not None else None
-        rate_table.append(
-            {
-                "n": n,
-                "distance": distance,
-                "n_scaled_distance": (n + 1) * distance if distance is not None else None,
-            }
-        )
+        scaled = (n + 1) * distance if distance is not None else None
+        rate_table.append({"n": n, "distance": distance, "n_scaled_distance": scaled})
     final_avg = averages[args.n]
     payload = {
         "n": args.n,

@@ -377,14 +377,7 @@ def instance_from_document(doc: dict) -> ConservedDilation:
     missing = required - doc.keys()
     if missing:
         raise ValueError(f"conserved-dilation document is missing keys: {sorted(missing)}")
-    dilation = stinespring_from_document(
-        {
-            "dimA": doc["dimA"],
-            "dimB": doc["dimB"],
-            "unitary": doc["unitary"],
-            "bath_state": doc["bath_state"],
-        }
-    )
+    dilation = stinespring_from_document({key: doc[key] for key in ("dimA", "dimB", "unitary", "bath_state")})
     m_a = json_to_matrix(doc["mA"], what="mA")
     m_b = json_to_matrix(doc["mB"], what="mB")
     extremal = doc["extremal"]

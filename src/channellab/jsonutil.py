@@ -10,7 +10,8 @@ deterministic serializer: object keys are sorted, floats are emitted with
 17 significant digits (exact round trip), and infinities become the
 string sentinels ``"inf"`` / ``"-inf"`` (JSON has no infinity literal).
 It dispatches on exact types and writes a list of finite floats, or of
-``[re, im]`` pairs of them, with one ``str.join``.
+``[re, im]`` pairs of them, with one ``str.join``.  ``canonical_json_rows``
+writes a table of records given as columns.
 """
 
 from __future__ import annotations
@@ -133,6 +134,22 @@ def _text(obj) -> str:
 def canonical_json(obj) -> str:
     """Deterministic JSON text for `obj` (sorted keys, 17-digit floats)."""
     return _text(obj)
+
+
+def canonical_json_rows(columns, rows: int) -> list:
+    """``canonical_json`` of each of `rows` records given as columns, written column by column.
+
+    `columns` is a sequence of one value per record, or a dict of such
+    columns; record k is `columns` with each column replaced by its k-th value.
+    """
+    if not isinstance(columns, dict):
+        values = columns.tolist() if isinstance(columns, np.ndarray) else list(columns)
+        return list(map(_FLOAT if _finite_floats(values) else _text, values))
+    if not columns:
+        return ["{}"] * rows
+    keys = sorted(columns)
+    template = "{{" + ",".join(_key_text(key).replace("{", "{{").replace("}", "}}") + ":{}" for key in keys) + "}}"
+    return list(map(template.format, *(canonical_json_rows(columns[key], rows) for key in keys)))
 
 
 def input_digest(doc) -> str:

@@ -23,6 +23,7 @@ import numpy as np
 from . import opalg
 from . import tolerances as tol
 from .channel import DensityMatrix, KrausChannel, Superoperator, is_unital, power, step, unvec, vec
+from .channel import from_bloch, to_bloch
 from .errors import HypothesisViolation
 from .spectral import VERDICT_NOT_ERGODIC, SpectralReport
 
@@ -34,13 +35,12 @@ FUNCTIONALS = (FUNCTIONAL_TRIVIAL, FUNCTIONAL_RELATIVE_ENTROPY, FUNCTIONAL_VON_N
 ORACLE_MIXING = "mixing"
 ORACLE_NOT_MIXING = "not_mixing_within_horizon"
 ORACLE_MIN_N_MAX = 100
+CESARO_BLOCK = 100  # terms per block of the Cesaro sum; fixed, so averages do not depend on the horizons
 
 
 def trivial_lyapunov(rho: DensityMatrix, fixed_point: DensityMatrix) -> float:
     """Trace-norm distance ``||rho - fixed_point||_1``."""
-    if rho.dim != fixed_point.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {fixed_point.dim}")
-    return opalg.trace_norm(rho.matrix - fixed_point.matrix)
+    return _one_state(FUNCTIONAL_TRIVIAL, rho, fixed_point)
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -51,42 +51,37 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     `sigma` by more than ``REL_ENTROPY_LEAK_TOL`` (the quantity is
     infinite unless supp(rho) is contained in supp(sigma)).
     """
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    return _relative_entropy_to(sigma.matrix)(rho.matrix)
-
-
-def _relative_entropy_to(sigma: np.ndarray) -> Callable[[np.ndarray], float]:
-    """``rho -> S(rho || sigma)`` on state matrices; `sigma` is diagonalized here, once."""
-    q, v = np.linalg.eigh(sigma)
-    kernel = v[:, q <= tol.SUPPORT_TOL]
-    on_support = q > tol.SUPPORT_TOL
-    log_sigma = (v[:, on_support] * np.log(q[on_support])) @ v[:, on_support].conj().T
-
-    def evaluate(rho: np.ndarray) -> float:
-        if kernel.shape[1]:
-            leak = float(np.real(np.trace(kernel.conj().T @ rho @ kernel)))
-            if leak > tol.REL_ENTROPY_LEAK_TOL:
-                return math.inf
-        p = np.linalg.eigvalsh(rho)
-        p = p[p > tol.SUPPORT_TOL]
-        tr_rho_log_rho = float(np.sum(p * np.log(p)))
-        # Tr(rho log sigma) = sum_ij rho_ij conj((log sigma)_ij), as log sigma is Hermitian
-        tr_rho_log_sigma = float(np.vdot(log_sigma, rho).real)
-        return max(0.0, tr_rho_log_rho - tr_rho_log_sigma)
-
-    return evaluate
+    return _one_state(FUNCTIONAL_RELATIVE_ENTROPY, rho, sigma)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """``-sum p log p`` over eigenvalues above ``SUPPORT_TOL``, in nats."""
-    return _von_neumann_entropy(rho.matrix)
+    return _one_state(FUNCTIONAL_VON_NEUMANN, rho, None)
 
 
-def _von_neumann_entropy(rho: np.ndarray) -> float:
-    p = np.linalg.eigvalsh(rho)
-    p = p[p > tol.SUPPORT_TOL]
-    return float(max(0.0, -np.sum(p * np.log(p))))
+def _one_state(name: str, rho: DensityMatrix, sigma: DensityMatrix | None) -> float:
+    """Functional `name` of the single state `rho` against `sigma`, by its batched evaluator."""
+    if sigma is not None and rho.dim != sigma.dim:
+        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    evaluators = {name: _functional_evaluator(name, None if sigma is None else sigma.matrix)}
+    return float(_evaluate(evaluators, rho.matrix[None])[name][0])
+
+
+def _entropy_sums(spectra: np.ndarray) -> np.ndarray:
+    """``sum p log p`` over the eigenvalues above ``SUPPORT_TOL`` of each ascending row of `spectra`.
+
+    Those eigenvalues end each row; rows with equal counts of them are
+    summed together, so each sum equals the sum over that row's alone.
+    """
+    kept = spectra > tol.SUPPORT_TOL
+    terms = np.where(kept, spectra, 1.0)
+    terms *= np.log(terms)
+    first = kept.shape[-1] - kept.sum(-1)
+    sums = np.empty(len(spectra))
+    for start in np.unique(first):
+        rows = first == start
+        sums[rows] = terms[rows, start:].sum(-1)
+    return sums
 
 
 def probe_states(dim: int, seed: int = 0, n_random: int = 10) -> list[DensityMatrix]:
@@ -108,25 +103,55 @@ def probe_states(dim: int, seed: int = 0, n_random: int = 10) -> list[DensityMat
 class OrbitTrace:
     """State matrices ``rho, tau(rho), ..., tau^n(rho)`` plus requested functionals.
 
-    `states` holds read-only d x d arrays.  `functional_values` maps each
-    requested functional name to the raw (unoriented) value at every
-    step; lengths are ``n_steps + 1``.
+    `states` is one read-only (n + 1, d, d) array.  `functional_values`
+    maps each requested functional name to a read-only array of its raw
+    (unoriented) value at every step; lengths are ``n_steps + 1``.
     """
 
-    states: tuple
+    states: np.ndarray
     functional_values: dict
     n_steps: int
 
 
-def _functional_evaluator(name: str, fixed_point: np.ndarray | None) -> Callable[[np.ndarray], float]:
-    """The map ``state matrix -> value`` of functional `name` for one orbit against `fixed_point`."""
+def _functional_evaluator(name: str, fixed_point: np.ndarray | None) -> Callable:
+    """The map ``(states, spectra) -> values`` of functional `name` against `fixed_point`, batched.
+
+    `states` is a stack of state matrices and `spectra` their ``eigvalsh``.
+    """
     if name == FUNCTIONAL_TRIVIAL:
-        return lambda m: opalg.trace_norm(m - fixed_point)
-    if name == FUNCTIONAL_RELATIVE_ENTROPY:
-        return _relative_entropy_to(fixed_point)
+        return lambda states, _: np.linalg.svd(states - fixed_point, compute_uv=False).sum(-1)
     if name == FUNCTIONAL_VON_NEUMANN:
-        return _von_neumann_entropy
-    raise ValueError(f"unknown functional {name!r}; expected one of {FUNCTIONALS}")
+        return lambda _, spectra: _at_least_zero(-_entropy_sums(spectra))
+    if name != FUNCTIONAL_RELATIVE_ENTROPY:
+        raise ValueError(f"unknown functional {name!r}; expected one of {FUNCTIONALS}")
+    q, v = np.linalg.eigh(fixed_point)
+    kernel = v[:, q <= tol.SUPPORT_TOL]
+    on_support = q > tol.SUPPORT_TOL
+    log_sigma = (v[:, on_support] * np.log(q[on_support])) @ v[:, on_support].conj().T
+
+    def evaluate(states: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+        # Tr(rho log sigma) = sum_ij rho_ij conj((log sigma)_ij), as log sigma is Hermitian
+        tr_rho_log_sigma = np.vecdot(log_sigma.ravel(), states.reshape(len(states), -1)).real
+        values = _at_least_zero(_entropy_sums(spectra) - tr_rho_log_sigma)
+        if kernel.shape[1]:
+            leak = np.trace(kernel.conj().T @ states @ kernel, axis1=1, axis2=2).real
+            values[leak > tol.REL_ENTROPY_LEAK_TOL] = math.inf
+        return values
+
+    return evaluate
+
+
+def _at_least_zero(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0.0, x, 0.0)  # max(0.0, x) entrywise; np.maximum would keep -0.0, printed "-0"
+
+
+def _evaluate(evaluators: dict, states: np.ndarray) -> dict:
+    """Each functional of `evaluators` on the stack `states` as a read-only array; one ``eigvalsh`` at most."""
+    spectra = np.linalg.eigvalsh(states) if evaluators.keys() - {FUNCTIONAL_TRIVIAL} else None
+    values = {name: evaluate(states, spectra) for name, evaluate in evaluators.items()}
+    for a in values.values():
+        a.setflags(write=False)
+    return values
 
 
 def _unique_fixed_point(report: SpectralReport, purpose: str) -> DensityMatrix:
@@ -156,12 +181,16 @@ def orbit(report: SpectralReport, rho0: DensityMatrix, n: int, functionals: tupl
     if any(name in (FUNCTIONAL_TRIVIAL, FUNCTIONAL_RELATIVE_ENTROPY) for name in names):
         fixed_point = _unique_fixed_point(report, "a fixed-point-relative functional").matrix
     evaluators = {name: _functional_evaluator(name, fixed_point) for name in names}
-    states = [rho0.matrix]
-    for _ in range(n):
-        states.append(step(report.channel, states[-1]))
+    try:
+        states = np.empty((n + 1, report.dim, report.dim), dtype=complex)
+    except (ValueError, MemoryError) as exc:  # numpy refuses a shape beyond the address space
+        raise ValueError(f"an orbit of {n} steps at dimension {report.dim} does not fit in memory") from exc
+    states[0] = rho0.matrix
+    for k in range(n):
+        states[k + 1] = step(report.channel, states[k])
     DensityMatrix(states[-1])
-    values = {name: tuple(map(evaluate, states)) for name, evaluate in evaluators.items()}
-    return OrbitTrace(states=tuple(states), functional_values=values, n_steps=n)
+    states.setflags(write=False)
+    return OrbitTrace(states=states, functional_values=_evaluate(evaluators, states), n_steps=n)
 
 
 @dataclass(frozen=True)
@@ -229,64 +258,40 @@ def verify_generalized_lyapunov(
                 )
     else:
         if not is_unital(report.channel):
-            notes.append(
-                "channel is not unital: von Neumann entropy is not guaranteed to be monotone"
-            )
+            notes.append("channel is not unital: von Neumann entropy is not guaranteed to be monotone")
         if report.verdict == VERDICT_NOT_ERGODIC:
             notes.append(
                 "channel has multiple fixed points: strict increase cannot hold for every "
                 "non-fixed state, so the evidence flag cannot certify mixing"
             )
-    evaluate = _functional_evaluator(functional, fixed_point)
+    evaluators = {functional: _functional_evaluator(functional, fixed_point)}
 
     sign = 1.0 if functional == FUNCTIONAL_VON_NEUMANN else -1.0
     records = []
     all_trials_fixed = True
     for idx, rho in enumerate(trial_states):
         trace = orbit(report, rho, n)
-        raw = tuple(map(evaluate, trace.states))
+        raw = _evaluate(evaluators, trace.states)[functional].tolist()
         oriented = [sign * value for value in raw]
-        defect = 0.0
-        for k in range(n):
-            defect = max(defect, oriented[k] - oriented[k + 1])
-        defect = max(0.0, defect)
+        defect = max(0.0, *(oriented[k] - oriented[k + 1] for k in range(n)))
         gap = abs(oriented[n] - oriented[0])
-        n_strict = None
-        for k in range(1, n + 1):
-            if oriented[k] - oriented[0] > tol.MONOTONE_DEFECT_TOL:
-                n_strict = k
-                break
-        if fixed_point is not None:
-            matches = opalg.trace_norm(rho.matrix - fixed_point) <= tol.STATE_MATCH_TOL
-        else:
-            matches = False
+        n_strict = next((k for k in range(1, n + 1) if oriented[k] - oriented[0] > tol.MONOTONE_DEFECT_TOL), None)
+        matches = fixed_point is not None and opalg.trace_norm(rho.matrix - fixed_point) <= tol.STATE_MATCH_TOL
         if opalg.trace_norm(trace.states[1] - trace.states[0]) > tol.STATE_MATCH_TOL:
             all_trials_fixed = False
-        records.append(
-            TrialRecord(
-                state_index=idx,
-                matches_fixed_point=matches,
-                monotone_defect=defect,
-                limit_gap=gap,
-                n_strict=n_strict,
-                raw_initial=raw[0],
-                raw_final=raw[n],
-            )
-        )
+        records.append(TrialRecord(
+            state_index=idx, matches_fixed_point=matches, monotone_defect=defect, limit_gap=gap,
+            n_strict=n_strict, raw_initial=raw[0], raw_final=raw[n],
+        ))
 
     moving = [r for r in records if not r.matches_fixed_point]
     overall_defect = max(r.monotone_defect for r in records)
     if all_trials_fixed:
         notes.append("every trial state is a fixed point of the channel; no strictness evidence available")
     if not moving:
-        evidence = False
-        overall_gap = 0.0
-        overall_n_strict = None
+        evidence, overall_gap, overall_n_strict = False, 0.0, None
     else:
-        evidence = all(
-            r.limit_gap > tol.EVIDENCE_GAP and r.monotone_defect <= tol.MONOTONE_DEFECT_TOL
-            for r in moving
-        )
+        evidence = all(r.limit_gap > tol.EVIDENCE_GAP and r.monotone_defect <= tol.MONOTONE_DEFECT_TOL for r in moving)
         overall_gap = min(r.limit_gap for r in moving)
         strict_steps = [r.n_strict for r in moving]
         overall_n_strict = max(strict_steps) if all(s is not None for s in strict_steps) else None
@@ -369,10 +374,12 @@ def weak_contraction_check(c: KrausChannel, pairs: list) -> WeakContractionResul
 def cesaro_averages(
     s: Superoperator, rho0: DensityMatrix, horizons: Iterable[int]
 ) -> dict[int, DensityMatrix]:
-    """Cesaro averages under superoperator `s` at every horizon, keyed by horizon.
+    """Cesaro averages under superoperator `s` at every horizon, keyed by horizon, as `DensityMatrix`.
 
-    One pass of ``max(horizons)`` steps fills every entry.  The terms are
-    accumulated in the same order as in `cesaro_average`, so each entry
+    The orbit runs in Bloch coordinates: ``CESARO_BLOCK`` terms by
+    products with the Bloch matrix R, then each later block as the one
+    before times ``R^CESARO_BLOCK``.  A running ``cumsum`` adds the terms
+    in order.  The blocks do not depend on the horizons, so each entry
     equals ``cesaro_average(s, rho0, n)`` bit for bit.
     """
     horizons = sorted(set(horizons))
@@ -380,17 +387,20 @@ def cesaro_averages(
         raise ValueError("n must be >= 1")
     if rho0.dim != s.dim:
         raise ValueError(f"state dimension {rho0.dim} does not match channel dimension {s.dim}")
-    v = vec(rho0.matrix)
-    acc = v.copy()
-    averages = {}
-    done = 0
+    r = s.bloch
+    terms = np.empty((min(CESARO_BLOCK, horizons[-1] + 1), len(r)))
+    terms[0] = to_bloch(vec(rho0.matrix)).real
+    for j in range(1, len(terms)):
+        terms[j] = r @ terms[j - 1]
+    sums = np.cumsum(terms, axis=0)
+    jump = np.linalg.matrix_power(r.T, CESARO_BLOCK) if horizons[-1] >= CESARO_BLOCK else None
+    start, averages = 0, {}
     for n in horizons:
-        for _ in range(n - done):
-            v = s.matrix @ v
-            acc += v
-        done = n
-        avg = unvec(acc / (n + 1))
-        avg = (avg + avg.conj().T) / 2.0
+        while n >= start + CESARO_BLOCK:
+            terms = terms @ jump
+            sums = np.cumsum(np.vstack([sums[-1:], terms]), axis=0)[1:]
+            start += CESARO_BLOCK
+        avg = unvec(from_bloch(sums[n - start] / (n + 1)))
         averages[n] = DensityMatrix(avg / avg.trace().real)
     return averages
 

@@ -22,7 +22,7 @@ from channellab import (
     to_superoperator,
     validate_cpt,
 )
-from channellab.channel import Superoperator, apply_raw, from_bloch, unvec, vec
+from channellab.channel import Superoperator, apply_raw, from_bloch, step, unvec, vec
 from channellab.zoo import (
     SWAP,
     build,
@@ -38,6 +38,11 @@ from channellab.zoo import (
 
 def _random_kraus_channel(dim, rank, seed):
     return build_named("random", dim=dim, kraus_rank=rank, seed=seed)
+
+
+STEP_CHANNELS = [build(spec) for spec in catalog()] + [
+    _random_kraus_channel(dim, rank, 40 + rank) for dim in (3, 8) for rank in (1, 2, dim * dim)
+]
 
 
 class TestVec:
@@ -138,6 +143,28 @@ class TestAction:
         assert not validate_cpt(c).passed
         with pytest.raises(ValueError, match="not trace preserving"):
             apply(c, DensityMatrix.basis_state(2, 0))
+
+    @pytest.mark.parametrize("channel", STEP_CHANNELS, ids=lambda c: f"{c.label}-d{c.dim}")
+    def test_step_equals_the_per_operator_sum_bitwise(self, channel):
+        # reference: the Python sum over the Kraus operators that the stacked product replaces
+        m = random_state(channel.dim, seed=channel.dim).matrix
+        for _ in range(20):
+            want = sum(k @ m @ k.conj().T for k in channel.kraus_ops)
+            want = (want + want.conj().T) / 2.0
+            want = want / float(want.trace().real)
+            got = step(channel, m)
+            assert got.tobytes() == want.tobytes()
+            m = got
+
+    def test_kraus_ops_are_one_read_only_stack(self):
+        ops = [np.array(k) for k in build_named("amplitude-damping", gamma=0.3).kraus_ops]
+        c = KrausChannel(2, tuple(ops))
+        assert c.kraus_ops.shape == (2, 2, 2) and c.kraus_ops.dtype == complex
+        assert not c.kraus_ops.flags.writeable
+        assert len(c.kraus_ops) == 2
+        assert all(np.array_equal(k, o) for k, o in zip(c.kraus_ops, ops))
+        ops[0][0, 0] = 0.0  # the channel holds its own copy
+        assert c.kraus_ops[0][0, 0] == 1.0
 
     def test_superoperator_matches_apply(self):
         rng = np.random.default_rng(31)

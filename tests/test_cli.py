@@ -1,8 +1,11 @@
 """Command-line interface: payload schemas, exit codes, and byte determinism."""
 
 import json
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ import channellab
 from channellab import cli, dilation, spectral
 from channellab.channel import DensityMatrix, Superoperator
 from channellab.cli import main
-from channellab.jsonutil import complex_to_json
+from channellab.jsonutil import canonical_json, complex_to_json
 
 
 def run_cli(capsys, argv):
@@ -322,6 +325,48 @@ class TestOrbit:
         assert err == "invalid input: state: entries must be finite\n"
 
 
+    def test_length_beyond_memory_exits_cleanly(self, capsys, tmp_path):
+        path = emit_to_file(capsys, tmp_path, ["example-mixing"], "mix.json")
+        rc, out, err = run_cli(capsys, ["orbit", path, "--state", "basis:0", "--n", "1000000000000000000"])
+        assert rc == 2 and out == ""
+        assert err == "invalid input: an orbit of 1000000000000000000 steps at dimension 3 does not fit in memory\n"
+
+    @pytest.mark.parametrize(
+        "emit, state, functionals, marker",
+        [
+            (["depolarizing", "--param", "p=0.25"], "basis:0", "von_neumann,trivial", '"von_neumann":0}'),
+            (["dephasing", "--param", "p=0.3"], "basis:0", "von_neumann", '"distance_to_fixed_point":null'),
+            (["amplitude-damping", "--param", "gamma=0.3"], "basis:1", "relative_entropy", '"relative_entropy":"inf"'),
+        ],
+        ids=["pure-state-von-neumann", "not-ergodic", "relative-entropy-inf"],
+    )
+    def test_lines_equal_per_record_canonical_json(self, capsys, tmp_path, emit, state, functionals, marker):
+        path = emit_to_file(capsys, tmp_path, emit, "channel.json")
+        rc, out, err = run_cli(capsys, ["orbit", path, "--state", state, "--n", "60", "--functionals", functionals])
+        assert rc == 0, err
+        # reference: one canonical_json record per step, values from the one-state functionals
+        report = channellab.analyze(channellab.channel_from_document(json.loads(Path(path).read_text())))
+        fixed = report.fixed_points[0]
+        single = {
+            "trivial": lambda rho: channellab.trivial_lyapunov(rho, fixed),
+            "relative_entropy": lambda rho: channellab.relative_entropy(rho, fixed),
+            "von_neumann": channellab.von_neumann_entropy,
+        }
+        unique = report.verdict != "not_ergodic"
+        want = []
+        for k, m in enumerate(channellab.orbit(report, cli._parse_state(state, report.dim), 60).states):
+            rho = DensityMatrix(m)
+            record = {
+                "n": k,
+                "distance_to_fixed_point": single["trivial"](rho) if unique else None,
+                "functionals": {name: single[name](rho) for name in functionals.split(",")},
+            }
+            want.append(canonical_json(record) + "\n")
+        assert out == "".join(want)
+        assert marker in out.splitlines()[0]
+        assert ":-0," not in out and ":-0}" not in out
+
+
 class TestCesaro:
     def test_alternating_orbit_rate_table(self, capsys, tmp_path):
         path = emit_to_file(capsys, tmp_path, ["example-ergodic"], "erg.json")
@@ -450,6 +495,22 @@ class TestOneBuildPerRequest:
             counts.append(len(eighs) - start)
         assert counts[0] == counts[1] >= 1
 
+    def test_orbit_makes_a_fixed_number_of_eigensolves(self, capsys, tmp_path, monkeypatch):
+        path = emit_to_file(capsys, tmp_path, ["depolarizing", "--param", "p=0.25"], "depol.json")
+        svds = count_calls(monkeypatch, np.linalg, "svd")
+        eigvalshs = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        counts = []
+        for n in ("10", "2000"):
+            start = (len(svds), len(eigvalshs))
+            rc, out, err = run_cli(
+                capsys,
+                ["orbit", path, "--state", "basis:1", "--n", n,
+                 "--functionals", "trivial,relative_entropy,von_neumann"],
+            )
+            assert rc == 0, err
+            counts.append((len(svds) - start[0], len(eigvalshs) - start[1]))
+        assert counts[0] == counts[1]
+
     def test_dilation_searches_factorizing_eigenstates_once(self, capsys, tmp_path, monkeypatch):
         path = emit_to_file(capsys, tmp_path, ["partial-swap-dilation", "--instance"], "pswap.json")
         builds = count_calls(monkeypatch, Superoperator, "__post_init__")
@@ -527,6 +588,30 @@ class TestDeterminism:
         second = run_cli(capsys, ["classify", path, "--oracle", "--nmax", "150"])
         assert first == second
         assert first[0] == 0
+
+    def test_orbit_and_cesaro_do_not_depend_on_blas_threads(self, capsys, tmp_path):
+        path = emit_to_file(
+            capsys, tmp_path, ["random", "--dim", "8", "--param", "kraus_rank=3", "--param", "seed=13"], "rand.json"
+        )
+        script = (
+            "import sys\n"
+            "from channellab.cli import main\n"
+            "path = sys.argv[1]\n"
+            "functionals = 'trivial,relative_entropy,von_neumann'\n"
+            "assert main(['orbit', path, '--state', 'basis:0', '--n', '500', '--functionals', functionals]) == 0\n"
+            "assert main(['cesaro', path, '--state', 'basis:0', '--n', '10000']) == 0\n"
+        )
+        src = str(Path(channellab.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            proc = subprocess.run(
+                [sys.executable, "-c", script, path], env=env, capture_output=True, text=True, timeout=300
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 502
 
     def test_zoo_emit_is_byte_stable(self, capsys):
         a = run_cli(capsys, ["zoo-emit", "random", "--dim", "2", "--param", "kraus_rank=2", "--param", "seed=11"])

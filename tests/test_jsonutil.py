@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from channellab.cli import main
-from channellab.jsonutil import canonical_json, input_digest, json_to_matrix, json_to_vector
+from channellab.jsonutil import canonical_json, canonical_json_rows, input_digest, json_to_matrix, json_to_vector
 
 
 def _reference_float(x: float) -> str:
@@ -177,6 +177,29 @@ def test_nan_raises(value):
 def test_unencodable_values_raise_type_error(value):
     with pytest.raises(TypeError):
         canonical_json(value)
+
+
+def _row(column, k):
+    return {key: _row(value, k) for key, value in column.items()} if isinstance(column, dict) else column[k]
+
+
+def test_rows_equal_per_record_canonical_json():
+    columns = {
+        "n": range(4),
+        "x": np.array([0.0, -0.0, math.inf, 1.0 / 3.0]),
+        "y": [None, True, "s", -math.inf],
+        "{k}": {"b": np.array([1.5, 2.0, -1.0, 1e300]), "a": [[1.0, 2.0], [], {}, 7]},
+        "e": {},
+    }
+    want = [canonical_json({key: _row(value, k) for key, value in columns.items()}) for k in range(4)]
+    assert canonical_json_rows(columns, 4) == want
+
+
+def test_rows_keep_the_errors_of_canonical_json():
+    with pytest.raises(ValueError, match="NaN"):
+        canonical_json_rows({"x": np.array([1.0, math.nan])}, 2)
+    with pytest.raises(TypeError):
+        canonical_json_rows({1: [0.0]}, 1)
 
 
 def test_input_digest_of_catalog_document():

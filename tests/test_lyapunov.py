@@ -52,6 +52,23 @@ MIXED_2 = DensityMatrix.maximally_mixed(2)
 GROUND_2 = DensityMatrix.basis_state(2, 0)
 
 
+def _entropy_sum(m):
+    """Reference ``sum p log p`` of one state over its eigenvalues above SUPPORT_TOL."""
+    p = np.linalg.eigvalsh(m)
+    p = p[p > 1e-10]
+    return float(np.sum(p * np.log(p)))
+
+
+def _per_state_relative_entropy(m, sigma):
+    """Reference S(m || sigma) of one state matrix, one eigensolve of sigma per call."""
+    q, v = np.linalg.eigh(sigma)
+    kernel, on_support = v[:, q <= 1e-10], q > 1e-10
+    log_sigma = (v[:, on_support] * np.log(q[on_support])) @ v[:, on_support].conj().T
+    if kernel.shape[1] and float(np.real(np.trace(kernel.conj().T @ m @ kernel))) > 1e-9:
+        return math.inf
+    return max(0.0, _entropy_sum(m) - float(np.vdot(log_sigma, m).real))
+
+
 class TestFunctionals:
     def test_trivial_at_fixed_point_is_zero(self):
         assert trivial_lyapunov(MIXED_2, MIXED_2) == pytest.approx(0.0, abs=1e-15)
@@ -81,6 +98,44 @@ class TestFunctionals:
         assert von_neumann_entropy(DensityMatrix.maximally_mixed(3)) == pytest.approx(
             math.log(3.0), abs=1e-12
         )
+
+
+    def test_batched_entropies_match_per_state_sums(self):
+        # pure initial states: the first states of each orbit have eigenvalues below SUPPORT_TOL
+        dropped = 0
+        for seed in range(3):
+            report = analyze(random_channel(8, 3, seed))
+            rho0 = DensityMatrix.basis_state(8, seed)
+            trace = orbit(report, rho0, 40, (FUNCTIONAL_RELATIVE_ENTROPY, FUNCTIONAL_VON_NEUMANN))
+            fixed = report.fixed_points[0].matrix
+            want_rel = [_per_state_relative_entropy(m, fixed) for m in trace.states]
+            want_vn = [max(0.0, -_entropy_sum(m)) for m in trace.states]
+            # rows with equal kept-eigenvalue counts are summed together: the same terms in the same order
+            assert trace.functional_values[FUNCTIONAL_RELATIVE_ENTROPY].tolist() == want_rel
+            assert trace.functional_values[FUNCTIONAL_VON_NEUMANN].tolist() == want_vn
+            dropped += int((np.linalg.eigvalsh(trace.states) <= 1e-10).any(axis=1).sum())
+        assert dropped >= 3
+
+    def test_one_state_functionals_are_rows_of_the_batch(self, spectral_reports):
+        for label, report in spectral_reports.items():
+            names = [FUNCTIONAL_VON_NEUMANN]
+            if report.verdict != "not_ergodic":
+                names += [FUNCTIONAL_TRIVIAL, FUNCTIONAL_RELATIVE_ENTROPY]
+            trace = orbit(report, DensityMatrix.basis_state(report.dim, 0), 15, tuple(names))
+            fixed = report.fixed_points[0]
+            single = {
+                FUNCTIONAL_TRIVIAL: lambda rho: trivial_lyapunov(rho, fixed),
+                FUNCTIONAL_RELATIVE_ENTROPY: lambda rho: relative_entropy(rho, fixed),
+                FUNCTIONAL_VON_NEUMANN: von_neumann_entropy,
+            }
+            for name in names:
+                want = [single[name](DensityMatrix(m)) for m in trace.states]
+                assert trace.functional_values[name].tolist() == want, (label, name)
+
+    def test_clamp_gives_positive_zero(self):
+        # -0.0 would print as "-0" in the CLI
+        assert math.copysign(1.0, von_neumann_entropy(GROUND_2)) == 1.0
+        assert math.copysign(1.0, relative_entropy(GROUND_2, GROUND_2)) == 1.0
 
 
 class TestProbeStates:
@@ -121,6 +176,27 @@ class TestOrbit:
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError, match="n must be >= 1"):
             orbit(analyze(example_ergodic_channel()), GROUND_2, 0)
+
+    def test_states_and_values_are_read_only_arrays(self):
+        trace = orbit(analyze(example_ergodic_channel()), GROUND_2, 4, (FUNCTIONAL_TRIVIAL, FUNCTIONAL_VON_NEUMANN))
+        assert trace.states.shape == (5, 2, 2) and not trace.states.flags.writeable
+        for values in trace.functional_values.values():
+            assert values.shape == (5,) and not values.flags.writeable
+
+    def test_length_beyond_memory_is_a_value_error(self, monkeypatch):
+        report = analyze(example_ergodic_channel())
+        with pytest.raises(ValueError, match="orbit of 10000000000000000000 steps at dimension 2 does not fit"):
+            orbit(report, GROUND_2, 10**19)
+        empty = np.empty
+
+        def exhausted(shape, *args, **kwargs):
+            if isinstance(shape, tuple) and len(shape) == 3:
+                raise MemoryError
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", exhausted)
+        with pytest.raises(ValueError, match="orbit of 10 steps at dimension 2 does not fit in memory"):
+            orbit(report, GROUND_2, 10)
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -390,6 +466,21 @@ class TestCesaro:
             assert sorted(averages) == list(horizons)
             for n in horizons:
                 assert np.array_equal(averages[n].matrix, cesaro_average(s, rho0, n).matrix), n
+
+    def test_blocked_sums_match_kraus_iteration(self, zoo_entries):
+        # reference: the average of the Kraus-iterated orbit, summed one term at a time
+        checkpoints = [10**k for k in range(5)]
+        for c in [c for _, c in zoo_entries] + [random_channel(8, 3, 21)]:
+            rho0 = random_state(c.dim, seed=c.dim)
+            averages = cesaro_averages(to_superoperator(c), rho0, checkpoints)
+            m = rho0.matrix
+            acc = m.copy()
+            for n in range(1, checkpoints[-1] + 1):
+                m = apply_raw(c, m)
+                acc = acc + m
+                if n in averages:
+                    want = acc / acc.trace().real
+                    assert np.abs(averages[n].matrix - want).max() <= 1e-12, (c.label, n)
 
     def test_one_over_n_decay_across_ergodic_catalog(self, zoo_entries, spectral_reports):
         # calibrate C from n=100, then the distance at larger n must track
