@@ -3,12 +3,12 @@
 A channel is held as its Kraus set ``tau(rho) = sum_n K_n rho K_n^dag``.
 The matrix form acts on column-stacked vectorizations, ``vec(A X B) =
 (B^T (x) A) vec(X)``, so the superoperator is ``S = sum_n conj(K_n) (x)
-K_n``, one product of the stacked Kraus operators (`to_superoperator`).
-A channel maps Hermitian operators to Hermitian operators, so in an
-orthonormal Hermitian basis (the Bloch basis of `from_bloch`: diagonal
+K_n``.  A channel maps Hermitian operators to Hermitian operators, so in
+an orthonormal Hermitian basis (the Bloch basis of `from_bloch`: diagonal
 matrix units and normalized symmetric and antisymmetric off-diagonal
 pairs) its matrix is the real Bloch matrix ``R = U^dag S U``, a Pauli
-transfer matrix with the spectrum of S.  Stinespring dilations
+transfer matrix with the spectrum of S, which `to_superoperator` builds
+from the Kraus stack in real arithmetic.  Stinespring dilations
 ``tau(rho) = Tr_B[U (rho (x) |phi><phi|) U^dag]`` convert to Kraus sets
 by slicing the unitary along a bath basis.
 """
@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from . import opalg
 from . import tolerances as tol
@@ -79,6 +80,35 @@ def from_bloch(x: np.ndarray) -> np.ndarray:
     out[upper] = a - 1j * b
     out[lower] = a + 1j * b
     return out
+
+
+def _bloch_real(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """``Re(U^dag X U)`` for ``X = re + i im``, with `re` and `im` (d, d, d, d) views of d^2 x d^2 matrices.
+
+    ``U^dag = Phi W``, with W the real pair butterflies (diagonal units, sums and differences over sqrt(2))
+    and Phi = i on the difference rows: ``W re W^T`` on the sum-sum and difference-difference blocks, ``W im
+    W^T`` on the mixed ones, negated below the diagonal.  It is formed one half at a time."""
+    d = re.shape[0]
+    diagonal, upper, lower = _bloch_positions(d)
+    n, k = len(upper), d * d - len(upper)
+    r = np.empty((d * d, d * d))
+    for x, y, combine, cols in ((re, im, np.add, slice(d, k)), (im, re, np.subtract, slice(k, None))):
+        h = np.empty((d * d, d, d))  # rows by strided slices: diagonal units and pair sums of x, pair differences of y
+        h[:d] = x[range(d), range(d)]
+        for a in range(d - 1):
+            o = d + a * (2 * d - a - 1) // 2
+            np.add(x[a + 1 :, a], x[a, a + 1 :], out=h[o : o + d - 1 - a])
+            np.subtract(y[a + 1 :, a], y[a, a + 1 :], out=h[o + n : o + n + d - 1 - a])
+        h = h.reshape(d * d, d * d)
+        h[d:] *= math.sqrt(0.5)
+        if combine is np.add:
+            r[:, :d] = h[:, diagonal]
+        r[:, cols] = np.take(h, upper, axis=1)  # columns by whole-row gathers: sums of x rows, differences of y rows
+        combine(r[:, cols], np.take(h, lower, axis=1), out=r[:, cols])
+        del h  # freed before the next half
+    r[:, d:] *= math.sqrt(0.5)
+    r[k:, :k] *= -1.0
+    return r
 
 
 @dataclass(frozen=True)
@@ -154,47 +184,49 @@ class KrausChannel:
         object.__setattr__(self, "kraus_ops", ops)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Superoperator:
-    """Matrix of a channel's linear extension on vectorized operators.
+    """Matrix of a channel's linear extension, held as its real Bloch matrix ``bloch = U^dag S U``.
 
-    Construction computes the real Bloch matrix ``bloch = U^dag S U`` of
-    `matrix` S once and rejects S when it does not map Hermitian operators
-    to Hermitian ones, that is when the Bloch matrix has an imaginary part
-    above ``HERMITICITY_TOL``.  It then computes the real Schur pair
-    ``schur = (t, z)`` of the Bloch matrix, ``bloch = z @ t @ z.T``, and
-    from the same call its `eigenvalues`, the spectrum of S in the order
-    of the diagonal blocks of `t`.  The spectral-radius gate reads them,
-    and `spectral.analyze` reorders a copy of the pair to put the
-    peripheral eigenvalues in the leading block.  Orbit stepping and
-    matrix powers use the complex `matrix`.
+    ``Superoperator(dim, matrix)`` takes any S and rejects it when ``U^dag S U`` has an imaginary part above
+    ``HERMITICITY_TOL`` (S does not keep operators Hermitian); ``Superoperator(dim, bloch=R)`` takes a real R.
+    Construction computes the real Schur pair ``schur = (t, z)``, ``bloch = z @ t @ z.T``, and from the same
+    call the `eigenvalues` (the spectrum of S, in the order of the diagonal blocks of `t`) that the
+    spectral-radius gate reads.  The complex `matrix` S is the given one, or ``U R U^dag`` on first read.
     """
 
     dim: int
-    matrix: np.ndarray
-    bloch: np.ndarray = field(init=False, repr=False, compare=False)
-    schur: tuple = field(init=False, repr=False, compare=False)
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    bloch: np.ndarray = field(repr=False, compare=False)
+    schur: tuple = field(repr=False, compare=False)
+    eigenvalues: np.ndarray = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        m = opalg.as_matrix(self.matrix, square=True, name="superoperator")
-        if m.shape[0] != self.dim * self.dim:
-            raise ValueError(f"superoperator shape {m.shape} does not match dim {self.dim}")
-        adjoint = to_bloch(to_bloch(m).conj().T)  # (U^dag S U)^dag, real exactly when R is
-        defect = float(np.abs(adjoint.imag).max())
-        if defect > tol.HERMITICITY_TOL:
-            raise ValueError(f"superoperator does not preserve Hermiticity: imaginary Bloch part {defect:.3e}")
-        bloch = np.ascontiguousarray(adjoint.real.T)
+    def __init__(self, dim: int, matrix=None, *, bloch: np.ndarray | None = None):
+        object.__setattr__(self, "dim", dim)
+        self.__post_init__(matrix, bloch)
+
+    def __post_init__(self, matrix, bloch):
+        if bloch is None:
+            m = opalg.as_matrix(matrix, square=True, name="superoperator")
+            if m.shape[0] != self.dim * self.dim:
+                raise ValueError(f"superoperator shape {m.shape} does not match dim {self.dim}")
+            x = m.reshape((self.dim,) * 4)
+            defect = float(np.abs(_bloch_real(x.imag, -x.real)).max())  # Im(U^dag S U) = Re(U^dag (-i S) U)
+            if defect > tol.HERMITICITY_TOL:
+                raise ValueError(f"superoperator does not preserve Hermiticity: imaginary Bloch part {defect:.3e}")
+            bloch = _bloch_real(x.real, x.imag)
+            m.setflags(write=False)
+            object.__setattr__(self, "matrix", m)
         t, z, eigenvalues = opalg.schur(bloch)
         radius = float(np.abs(eigenvalues).max())
         if radius > 1.0 + tol.SPECTRAL_RADIUS_TOL:
             raise ValueError(f"superoperator spectral radius {radius:.12f} exceeds 1")
-        for a in (m, bloch, t, z, eigenvalues):
+        for a in (bloch, t, z, eigenvalues):
             a.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "bloch", bloch)
         object.__setattr__(self, "schur", (t, z))
         object.__setattr__(self, "eigenvalues", eigenvalues)
+
+    matrix = functools.cached_property(lambda self: power(self, 1))  # S = U R U^dag, formed on first read
 
 
 @dataclass(frozen=True)
@@ -319,20 +351,20 @@ def apply(c: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
 
 
 def to_superoperator(c: KrausChannel) -> Superoperator:
-    """Matrix form ``S = sum_n conj(K_n) (x) K_n`` (column-stacking convention).
+    """The `Superoperator` of ``S = sum_n conj(K_n) (x) K_n`` (column-stacking convention), built as R.
 
-    With ``A`` the r x d^2 stack of the row-major flattened ``K_n``, both S
-    and the product ``A^dag A`` hold ``sum_n conj(K_n[i, k]) K_n[j, l]``, S
-    at ``(i d + j, k d + l)`` and ``A^dag A`` at ``(i d + k, j d + l)``: S is
-    one matrix product with two of its four d-sized indices swapped.  The
-    identity ``S vec(X) = vec(tau(X))`` is pinned by the test suite on every
-    matrix unit, not re-checked here; construction still runs the
-    `Superoperator` Hermiticity check and spectral-radius gate.
+    With ``A`` the r x d^2 stack of the row-major flattened ``K_n``, S at ``(i d + j, k d + l)`` and
+    ``A^dag A`` at ``(i d + k, j d + l)`` both hold ``sum_n conj(K_n[i, k]) K_n[j, l]``.  `_bloch_real`
+    changes Re and Im ``A^dag A``, real products read with those indices swapped, to R: no complex
+    d^2 x d^2 array is formed, and R needs no Hermiticity check.  Tests pin ``S vec(X) = vec(tau(X))``.
     """
     d = c.dim
-    a = c.kraus_ops.reshape(len(c.kraus_ops), d * d)
-    s = (a.conj().T @ a).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    return Superoperator(d, s)
+    ar, ai = (x.reshape(len(x), d * d) for x in (c.kraus_ops.real, c.kraus_ops.imag))
+    # dgemm accumulates in Fortran order, so each part is formed transposed: Re A^dag A and Ai^T Ar - Ar^T Ai
+    return Superoperator(d, bloch=_bloch_real(*(x.T.reshape((d,) * 4).transpose(0, 2, 1, 3) for x in (
+        dgemm(1.0, ai, ai, c=dgemm(1.0, ar, ar, trans_a=True), beta=1.0, trans_a=True, overwrite_c=True),
+        dgemm(-1.0, ar, ai, c=dgemm(1.0, ai, ar, trans_a=True), beta=1.0, trans_a=True, overwrite_c=True),
+    ))))  # the products are freed before the Schur form
 
 
 def from_stinespring(d: StinespringDilation, label: str | None = None) -> KrausChannel:
@@ -356,14 +388,16 @@ def compose(c1: KrausChannel, c2: KrausChannel) -> KrausChannel:
 
 
 def power(s: Superoperator, n: int) -> np.ndarray:
-    """Matrix of the `n`-fold iteration, a superoperator matrix power (no Kraus blow-up).
+    """Read-only matrix ``U R^n U^dag`` of the `n`-fold iteration, from a power of the Bloch matrix R.
 
     `s` has passed the spectral-radius gate once; its power is returned
     as a plain matrix, not gated again.
     """
     if n < 0:
         raise ValueError("power requires n >= 0")
-    return np.linalg.matrix_power(s.matrix, n)
+    m = from_bloch(from_bloch(np.linalg.matrix_power(s.bloch, n)).conj().T).conj().T  # (U (U R^n)^dag)^dag
+    m.setflags(write=False)
+    return m
 
 
 def is_unital(c: KrausChannel) -> bool:

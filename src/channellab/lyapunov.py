@@ -428,14 +428,11 @@ class OracleResult:
 
 
 def _max_pairwise_distance(columns: np.ndarray) -> float:
-    """Largest trace distance between any two vectorized states among `columns`."""
+    """Largest trace distance between any two states among the Bloch coordinates in `columns`."""
     dim = math.isqrt(columns.shape[0])
-    mats = columns.T.reshape(-1, dim, dim).transpose(0, 2, 1)
-    i_idx, j_idx = np.triu_indices(mats.shape[0], k=1)
-    diffs = mats[i_idx] - mats[j_idx]
-    diffs = (diffs + diffs.conj().transpose(0, 2, 1)) / 2.0
-    eigs = np.linalg.eigvalsh(diffs)
-    return float(np.abs(eigs).sum(axis=1).max())
+    i_idx, j_idx = np.triu_indices(columns.shape[1], k=1)
+    diffs = from_bloch(columns[:, i_idx] - columns[:, j_idx]).T.reshape(-1, dim, dim)  # Hermitian, read transposed
+    return float(np.abs(np.linalg.eigvalsh(diffs)).sum(axis=1).max())
 
 
 def orbit_oracle(
@@ -448,36 +445,34 @@ def orbit_oracle(
     pairwise trace distance over all probes is below `tol_distance` both
     at the horizon `n_max` (`final_max_distance`) and at the first step of
     the trailing window of ``max(1, n_max // 10)`` steps
-    (`trailing_max_distance`).  Both points are reached by repeated
-    squaring of the matrix of `s`; no step in between is evaluated.
-
-    A quantum channel never increases the trace distance between two
-    states, so the distance at the window's first step is the maximum over
-    the window up to roundoff, and a transient dip cannot fake
-    convergence.  The one limit: a Kraus set that passes validation with a
-    completeness defect up to ``KRAUS_COMPLETENESS_TOL`` is contractive
-    only up to a factor of about ``1 + KRAUS_COMPLETENESS_TOL`` per step.
-    Differences of Hermitian probes stay Hermitian, so distances use a
-    batched Hermitian eigensolve.  The verdict reads only the matrix of
-    `s`, never its spectrum.
+    (`trailing_max_distance`).  A channel never increases trace distances,
+    so the window's first step carries its maximum up to roundoff.  One
+    pass over the bits of the two exponents squares the Bloch matrix R of
+    `s` and advances the probes' Bloch coordinates to both points; like
+    `channel.step`, it divides each square by the trace it gives I/d and
+    each probe by its own trace, so the roundoff in the eigenvalue 1 does
+    not compound.  A distance that is not finite (a rotation mode just
+    above modulus 1, grown past the double range) raises
+    ``numpy.linalg.LinAlgError``.  The verdict never reads the spectrum.
     """
     if n_max < ORACLE_MIN_N_MAX:
         raise ValueError(f"n_max must be >= {ORACLE_MIN_N_MAX} for a meaningful horizon")
     probes = probe_states(s.dim, seed=seed)
-    columns = np.stack([vec(p.matrix) for p in probes], axis=1)
     window = max(1, n_max // 10)
-    start = n_max - window + 1
-    at_start = np.linalg.matrix_power(s.matrix, start) @ columns
-    at_end = np.linalg.matrix_power(s.matrix, window - 1) @ at_start
-    trailing_max = _max_pairwise_distance(at_start)
-    final = _max_pairwise_distance(at_end)
+    at = [to_bloch(np.stack([vec(p.matrix) for p in probes], axis=1)).real] * 2
+    square = s.bloch
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bit in range(n_max.bit_length()):
+            for k, n in enumerate((n_max - window + 1, n_max)):
+                if n >> bit & 1:
+                    at[k] = square @ at[k]
+                    at[k] /= at[k][: s.dim].sum(0)
+            if n_max >> bit > 1:
+                square = square @ square
+                square /= square[: s.dim, : s.dim].sum() / s.dim
+        trailing_max, final = map(_max_pairwise_distance, at) if np.isfinite(at).all() else (math.inf,) * 2
+    if not math.isfinite(trailing_max + final):
+        raise np.linalg.LinAlgError(f"orbit oracle distances are not finite at horizon {n_max}")
     verdict = ORACLE_MIXING if final < tol_distance and trailing_max < tol_distance else ORACLE_NOT_MIXING
-    return OracleResult(
-        verdict=verdict,
-        final_max_distance=final,
-        trailing_max_distance=trailing_max,
-        n_max=n_max,
-        tol=tol_distance,
-        n_probes=len(probes),
-        trailing_window=window,
-    )
+    return OracleResult(verdict=verdict, final_max_distance=final, trailing_max_distance=trailing_max, n_max=n_max,
+                        tol=tol_distance, n_probes=len(probes), trailing_window=window)

@@ -21,7 +21,7 @@ import scipy.linalg
 
 from . import opalg
 from . import tolerances as tol
-from .channel import DensityMatrix, KrausChannel, Superoperator, from_bloch, step, to_superoperator, unvec, vec
+from .channel import DensityMatrix, KrausChannel, Superoperator, from_bloch, step, to_bloch, to_superoperator, unvec, vec
 from .errors import InternalInconsistencyError
 from .jsonutil import complex_to_json
 
@@ -42,8 +42,8 @@ class SpectralReport:
     independent fixed states, so they span the fixed-point set (exactly
     one when the verdict is not `not_ergodic`).  `peripheral_eigenvectors`
     pairs one unit-norm eigenvector with each entry of `peripheral`, and
-    `max_residual` is the largest ``||S v - lambda v||_2`` over those
-    pairs.  `near_cluster_boundary` flags eigenvalues that sit within a
+    `max_residual` is the largest ``||S v - lambda v||_2 = ||R w - lambda w||_2``
+    over those pairs.  `near_cluster_boundary` flags eigenvalues that sit within a
     decade of the clustering tolerance around 1, where the multiplicity
     count is ill-conditioned.
     """
@@ -153,8 +153,9 @@ def analyze(c: KrausChannel) -> SpectralReport:
 
     values, vectors = np.linalg.eig(block)
     order = _by_modulus(values)
-    vectors = from_bloch(leading @ vectors[:, order])
-    residuals = np.linalg.norm(s.matrix @ vectors - vectors * values[order], axis=0)
+    w = leading @ vectors[:, order]  # Bloch coordinates, with R w = (R leading) vectors; U keeps the norms
+    residuals = np.linalg.norm((s.bloch @ leading) @ vectors[:, order] - w * values[order], axis=0)
+    vectors = from_bloch(w)
 
     return SpectralReport(
         dim=c.dim,
@@ -260,14 +261,13 @@ def estimate_rate(
         hi = n_max
     if not 1 <= lo < hi:
         raise ValueError(f"invalid fit window [{lo}, {hi}]")
-    fixed_vec = vec(report.fixed_points[0].matrix)
-    v = vec(rho0.matrix)
+    fixed_vec, v = to_bloch(np.stack([vec(report.fixed_points[0].matrix), vec(rho0.matrix)], axis=1)).real.T
     points = []
     for n in range(1, hi + 1):
-        v = report.superoperator.matrix @ v
+        v = report.superoperator.bloch @ v
         if n < lo:
             continue
-        dist = opalg.trace_norm(unvec(v - fixed_vec))
+        dist = opalg.trace_norm(unvec(from_bloch(v - fixed_vec)))
         if dist > tol.DISTANCE_FLOOR:
             points.append((n, math.log(dist)))
     if len(points) < 2:
@@ -355,7 +355,8 @@ def polar_fixed_point(
     if norm < tol.ZERO_NORM_TOL:
         raise ValueError("eigenvector is (near-)zero")
     theta = theta / norm
-    residual = float(np.linalg.norm(report.superoperator.matrix @ vec(theta) - eigenvalue * vec(theta)))
+    r, w = report.superoperator.bloch, to_bloch(vec(theta))
+    residual = float(np.linalg.norm(r @ w.real + 1j * (r @ w.imag) - eigenvalue * w))  # two real products
     if residual > tol.FIXED_POINT_RESIDUAL_TOL:
         raise ValueError(
             f"(theta, eigenvalue) is not an eigenpair of the superoperator: residual {residual:.3e}"

@@ -22,7 +22,7 @@ from channellab import (
     to_superoperator,
     validate_cpt,
 )
-from channellab.channel import Superoperator, apply_raw, from_bloch, step, unvec, vec
+from channellab.channel import Superoperator, apply_raw, from_bloch, step, to_bloch, unvec, vec
 from channellab.zoo import (
     SWAP,
     build,
@@ -211,6 +211,30 @@ class TestAction:
         eig = np.sort(np.linalg.eigvals(s.matrix).real)
         oracle = np.sort([1.0, 1.0 - p, 1.0 - p, 1.0 - p])
         assert np.abs(eig - oracle).max() <= 1e-10
+
+
+def _kraus_bloch_cases():
+    cases = [pytest.param(build(spec), id=spec.label) for spec in catalog()]
+    cases += [
+        pytest.param(_random_kraus_channel(dim, rank, 50 + dim + rank), id=f"random(d={dim},rank={rank})")
+        for dim in (3, 8, 16)
+        for rank in (1, 2, dim * dim)
+    ]
+    return cases
+
+
+class TestBlochFromKraus:
+    """`to_superoperator` builds R in real arithmetic; it matches the basis change of the Kronecker sum."""
+
+    @pytest.mark.parametrize("channel", _kraus_bloch_cases())
+    def test_bloch_matches_the_changed_kron_sum(self, channel):
+        d = channel.dim
+        kron_sum = sum(np.kron(k.conj(), k) for k in channel.kraus_ops)
+        reference = to_bloch(to_bloch(kron_sum).conj().T).conj().T  # U^dag S U
+        assert np.abs(reference.imag).max() <= 1e-14
+        for s in (to_superoperator(channel), Superoperator(d, kron_sum)):
+            assert s.bloch.dtype == np.float64
+            assert np.abs(s.bloch - reference).max() <= 1e-14
 
 
 class TestSpectralRadiusGate:

@@ -236,6 +236,25 @@ class TestClassify:
         assert json.loads(out)["warnings"] == []
 
 
+    @pytest.mark.parametrize("nmax", [10**17, 10**18])
+    def test_oracle_agrees_at_long_horizons(self, capsys, tmp_path, nmax):
+        path = emit_to_file(capsys, tmp_path, ["depolarizing", "--param", "p=0.5"], "depol.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            rc, out, err = run_cli(capsys, ["classify", path, "--oracle", "--nmax", str(nmax)])
+        assert (rc, err) == (0, "")
+        report = json.loads(out)["report"]
+        assert report["verdict"] == report["oracle"]["verdict"] == "mixing"
+        assert report["oracle_agrees"]
+
+    def test_oracle_overflow_is_a_numerical_failure(self, capsys, tmp_path):
+        path = emit_to_file(capsys, tmp_path, ["unitary", "--param", "theta=1"], "rot.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            rc, out, err = run_cli(capsys, ["classify", path, "--oracle", "--nmax", str(10**30)])
+        assert (rc, out) == (3, "")
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
 class TestOrbit:
     def test_cascade_distance_column(self, capsys, tmp_path):
         path = emit_to_file(capsys, tmp_path, ["example-mixing"], "mix.json")

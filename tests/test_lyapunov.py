@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -604,6 +605,34 @@ class TestOracle:
         assert result.final_max_distance < 1e-8
         assert result.trailing_window == 10**5
 
+
+    @pytest.mark.parametrize("n_max", [10**17, 10**18])
+    def test_renormalized_squaring_holds_at_long_horizons(self, n_max):
+        # without renormalization the roundoff in the eigenvalue 1 compounds with the horizon
+        result = orbit_oracle(to_superoperator(build_named("depolarizing", p=0.5)), n_max=n_max)
+        assert result.verdict == ORACLE_MIXING
+        assert result.final_max_distance < 1e-8 and result.trailing_max_distance < 1e-8
+
+    def test_overflowing_rotation_modes_raise_a_numerical_failure(self):
+        s = to_superoperator(build_named("unitary", theta=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+                orbit_oracle(s, n_max=10**30)
+
+
+class TestRealRepresentation:
+    @pytest.mark.parametrize("label", ["amplitude-damping(gamma=0.3)", "unitary(theta=1)", "random(kraus_rank=3,seed=13)"])
+    def test_runtime_paths_never_form_the_complex_superoperator(self, label):
+        channel = build(next(spec for spec in catalog() if spec.label == label))
+        report = analyze(channel)
+        s = report.superoperator
+        orbit_oracle(s, n_max=100)
+        orbit(report, DensityMatrix.maximally_mixed(channel.dim), 20, ("von_neumann",))
+        cesaro_averages(s, DensityMatrix.basis_state(channel.dim, 0), (1, 10, 250))
+        assert "matrix" not in vars(s)
+        s.matrix  # formed on first read, then cached
+        assert "matrix" in vars(s)
 
 class TestDataProcessing:
     def test_relative_entropy_contracts_under_channels(self):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -416,6 +417,17 @@ class TestBlochMatrix:
         rows, cols = linear_sum_assignment(np.abs(s.eigenvalues[:, None] - reference[None, :]))
         assert np.abs(s.eigenvalues[rows] - reference[cols]).max() <= 1e-12
 
+
+    def test_analyze_peak_memory_stays_within_six_bloch_matrices(self):
+        # the build forms no complex d^2 x d^2 array and frees its products before the Schur form
+        channel = random_channel(24, 2, 5)
+        tracemalloc.start()
+        try:
+            report = analyze(channel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * report.superoperator.bloch.nbytes
 
 def _conjugation_family(kind: str, d: int, seed: int) -> KrausChannel:
     if kind == "random":
