@@ -51,7 +51,7 @@ from .lyapunov import (
 )
 from .spectral import VERDICT_MIXING, VERDICT_NOT_ERGODIC, analyze, report_to_payload
 from .tolerances import ORACLE_TOL
-from .zoo import build, build_named, catalog, dilation_instance, find_spec
+from .zoo import PROVENANCE_RANDOM, ChannelSpec, build, catalog, dilation_instance, family
 
 
 class UsageError(Exception):
@@ -255,18 +255,7 @@ def _cmd_cesaro(args) -> int:
 
 
 def _cmd_zoo_list(args) -> int:
-    entries = [
-        {
-            "name": spec.name,
-            "label": spec.label,
-            "dim": spec.dim,
-            "parameters": dict(spec.parameters),
-            "expected_verdict": spec.expected_verdict,
-            "provenance": spec.provenance,
-            "description": spec.description,
-        }
-        for spec in catalog()
-    ]
+    entries = [{**dataclasses.asdict(spec), "label": spec.label} for spec in catalog()]
     _emit(_envelope("zoo-list", {}, {"channels": entries}))
     return 0
 
@@ -285,34 +274,18 @@ def _parse_params(raw_params) -> dict:
 
 
 def _cmd_zoo_emit(args) -> int:
-    params = _parse_params(args.param)
-    name = args.name
+    given = _parse_params(args.param)
     try:
-        if args.instance:
-            if name not in ("partial-swap-dilation", "cz-dilation"):
-                raise UsageError(f"{name!r} has no conserved-dilation instance")
-            theta = params.pop("theta", None)
-            if params:
-                raise UsageError(f"unexpected parameters for {name!r}: {sorted(params)}")
-            doc = instance_to_document(dilation_instance(name, theta=theta))
-        elif name in ("partial-swap-dilation", "cz-dilation"):
-            try:
-                spec = find_spec(name, **params)
-                label = spec.label
-            except ValueError:
-                label = None
-            channel = build_named(name, **params)
-            cd = dilation_instance(name, theta=params.get("theta"))
-            doc = stinespring_to_document(cd.dilation, label=label or channel.label)
+        entry = next((spec for spec in catalog() if spec.matches(args.name, args.dim, given)), None)
+        dim = (entry or family(args.name)).dim if args.dim is None else args.dim
+        if dim is None:
+            raise UsageError(f"{args.name} channels need --dim")
+        spec = ChannelSpec(args.name, dim, {**(entry.parameters if entry else {}), **given}, None, PROVENANCE_RANDOM)
+        if args.instance or family(spec.name).dilation:
+            cd = dilation_instance(spec.name, dim=dim, **spec.parameters)
+            doc = instance_to_document(cd) if args.instance else stinespring_to_document(cd.dilation, label=spec.label)
         else:
-            try:
-                spec = find_spec(name, **params)
-                channel = build(spec)
-            except ValueError:
-                if name == "random" and args.dim is None:
-                    raise UsageError("random channels need --dim")
-                channel = build_named(name, dim=args.dim, **params)
-            doc = channel_to_document(channel)
+            doc = channel_to_document(build(spec))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     sys.stdout.write(canonical_json(doc) + "\n")
@@ -361,11 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zoo-list", help="list the channel catalog")
     p.set_defaults(handler=_cmd_zoo_list)
 
-    p = sub.add_parser("zoo-emit", help="emit a catalog channel (or dilation instance) as JSON")
+    p = sub.add_parser("zoo-emit", help="emit a catalog channel (or dilation instance) as JSON; "
+                       "omitted parameters and dimension come from the first matching catalog entry")
     p.add_argument("name", help="channel name, e.g. depolarizing")
     p.add_argument("--param", action="append", metavar="KEY=VALUE",
                    help="channel parameter (repeatable), e.g. --param p=0.25")
-    p.add_argument("--dim", type=int, default=None, help="dimension for random channels")
+    p.add_argument("--dim", type=int, default=None, help="channel dimension (fixed families accept only their own)")
     p.add_argument("--instance", action="store_true",
                    help="emit the conserved-dilation instance document instead of the channel")
     p.set_defaults(handler=_cmd_zoo_emit)

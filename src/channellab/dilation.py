@@ -94,7 +94,7 @@ class ConservedValidationReport:
 
 def conserved_observable(cd: ConservedDilation) -> np.ndarray:
     """The additive observable ``mA (x) I + I (x) mB`` on system-bath space."""
-    return opalg.kron(cd.m_a, np.eye(cd.dim_b)) + opalg.kron(np.eye(cd.dim_a), cd.m_b)
+    return np.kron(cd.m_a, np.eye(cd.dim_b)) + np.kron(np.eye(cd.dim_a), cd.m_b)
 
 
 def validate_conserved(cd: ConservedDilation) -> ConservedValidationReport:
@@ -170,26 +170,13 @@ class FactorizingEigenstateReport:
     validation: ConservedValidationReport = field(repr=False, compare=False)
 
 
-def _cluster_indices(values: np.ndarray, tol_cluster: float) -> list[list[int]]:
-    n = values.size
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= tol_cluster:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+def _cluster_indices(values: np.ndarray, tol_cluster: float) -> list[np.ndarray]:
+    """Single-linkage clusters (transitive closure of ``|v_i - v_j| <= tol``), by smallest index."""
+    reach = np.abs(values[:, None] - values[None, :]) <= tol_cluster
+    while not np.array_equal(grown := reach @ reach, reach):
+        reach = grown
+    first = reach.argmax(axis=1)  # smallest index each value reaches
+    return [np.flatnonzero(first == i) for i in np.unique(first)]
 
 
 def find_factorizing_eigenstates(cd: ConservedDilation) -> FactorizingEigenstateReport:
@@ -207,7 +194,6 @@ def find_factorizing_eigenstates(cd: ConservedDilation) -> FactorizingEigenstate
             "conserved-dilation hypotheses fail: " + "; ".join(report.messages)
         )
     u = cd.dilation.unitary
-    dim_a, dim_b = cd.dim_a, cd.dim_b
     t, q = scipy.linalg.schur(u, output="complex")
     off_diag = float(np.abs(t - np.diag(np.diag(t))).max())
     if off_diag > tol.UNITARY_SCHUR_TOL:
@@ -216,28 +202,27 @@ def find_factorizing_eigenstates(cd: ConservedDilation) -> FactorizingEigenstate
         )
     eigenvalues = np.diag(t)
     clusters = _cluster_indices(eigenvalues, tol.CLUSTER_TOL)
+    max_cluster = max(map(len, clusters))
 
     phi = cd.dilation.bath_state
-    slice_map = opalg.kron(np.eye(dim_a), phi.conj().reshape(1, dim_b))  # (I_A (x) <phi|)
+    slice_map = np.kron(np.eye(cd.dim_a), phi.conj()[None, :])  # (I_A (x) <phi|)
 
     states: list[np.ndarray] = []
     lambdas: list[complex] = []
     residuals: list[float] = []
-    max_cluster = 0
     for members in clusters:
-        max_cluster = max(max_cluster, len(members))
         basis = q[:, members]  # orthonormal eigenbasis of the cluster
         compressed = slice_map @ basis  # dim_a x k
-        _, s, v = opalg.svd(compressed)
+        _, s, vh = np.linalg.svd(compressed, full_matrices=False)
         for i, sv in enumerate(s):
             if sv > 1.0 - tol.FACTORIZING_SV_TOL:
-                full_vector = basis @ v[:, i]
+                full_vector = basis @ vh[i].conj()
                 nu = slice_map @ full_vector
                 nu = nu / np.linalg.norm(nu)
                 anchor = int(np.argmax(np.abs(nu)))
                 phase = nu[anchor] / abs(nu[anchor])
                 nu = nu / phase
-                candidate = opalg.kron(nu.reshape(dim_a, 1), phi.reshape(dim_b, 1)).ravel()
+                candidate = np.kron(nu, phi)
                 lam = complex(candidate.conj() @ (u @ candidate))
                 residual = float(np.linalg.norm(u @ candidate - lam * candidate))
                 if residual > tol.FACTORIZING_RESIDUAL_TOL:
@@ -350,7 +335,7 @@ def conservation_audit(cd: ConservedDilation, rho0: DensityMatrix, n: int) -> Co
         system_expectations.append(float(np.real(np.trace(cd.m_a @ state))))
         if k == n:
             break
-        joint = u @ opalg.kron(state, bath_input) @ u.conj().T
+        joint = u @ np.kron(state, bath_input) @ u.conj().T
         bath_out = opalg.partial_trace(joint, cd.dim_a, cd.dim_b, keep="B")
         outflows.append(float(np.real(np.trace(cd.m_b @ bath_out))) - bath_reference)
         state = step(channel, state)

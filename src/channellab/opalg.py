@@ -63,17 +63,6 @@ def schur(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, z, wr + 1j * wi
 
 
-def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition ``m = u @ diag(s) @ v.conj().T``.
-
-    Singular values are nonnegative descending; `u` and `v` have
-    orthonormal columns.
-    """
-    a = as_matrix(m)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return u, s, vh.conj().T
-
-
 def trace_norm(m) -> float:
     """Sum of singular values.  For states this induces the trace
     distance with no 1/2 factor: orthogonal pure states are at distance 2."""
@@ -108,15 +97,10 @@ def psd_sqrt(m) -> np.ndarray:
     return map_eigenvalues(m, root, "psd_sqrt input")
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with block layout ``a[i, j] * b``."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
     """Trace out one tensor factor of an operator on ``H_A (x) H_B``.
 
-    Composite indices follow the `kron` layout (A is the slow factor).
+    Composite indices follow the ``np.kron`` layout (A is the slow factor).
     ``keep="A"`` returns a dim_a x dim_a matrix, ``keep="B"`` the other
     marginal; the full trace is preserved either way.
     """

@@ -1,12 +1,12 @@
 """Catalog of named channels used as shared fixtures.
 
-The catalog mixes hand-constructed channels with known classification
-(basis-exchange, three-level cascade, depolarizing, amplitude damping,
-dephasing, unitary rotation, and two conserved-dilation families) with
-seeded Haar-random channels for fuzzing.  Every entry passes CPT
-validation, and every stated expected verdict is cross-checked against
-both the spectral classifier and the brute-force orbit oracle in the test
-suite.
+`FAMILIES` gives each of nine channel families (basis-exchange, three-level
+cascade, depolarizing, amplitude damping, dephasing, unitary rotation, two
+conserved-dilation families, and seeded Haar-random channels for fuzzing)
+its dimension, parameter names and builder; `catalog` lists named instances
+of them.  Every entry passes CPT validation, and every stated expected
+verdict is cross-checked against both the spectral classifier and the
+brute-force orbit oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -57,6 +57,11 @@ class ChannelSpec:
         if self.provenance != PROVENANCE_RANDOM and self.expected_verdict is None:
             raise ValueError(f"entry {self.name!r}: non-random entries must state an expected verdict")
 
+    def matches(self, name: str, dim: int | None, parameters: dict) -> bool:
+        """Whether this entry is `name`, of dimension `dim` (when given), with every given parameter value."""
+        close = all(math.isclose(self.parameters.get(k, math.nan), float(v)) for k, v in parameters.items())
+        return self.name == name and dim in (None, self.dim) and close
+
     @property
     def label(self) -> str:
         if not self.parameters:
@@ -70,12 +75,6 @@ def _probability(value: float, name: str, channel: str) -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"{channel}: parameter {name}={p} must lie in [0, 1]")
     return p
-
-
-def _require(spec_params: dict, key: str, channel: str) -> float:
-    if key not in spec_params:
-        raise ValueError(f"{channel} requires parameter {key!r}")
-    return float(spec_params[key])
 
 
 def example_ergodic_channel(label: str = "example-ergodic") -> KrausChannel:
@@ -230,69 +229,82 @@ def catalog() -> list[ChannelSpec]:
     return entries
 
 
+@dataclass(frozen=True)
+class Family:  # one row of `FAMILIES`: how a channel family is built
+    dim: int | None  # None when free; the builder then takes it first
+    parameters: tuple  # names, in the builder's argument order
+    builder: object  # returns a KrausChannel (given ``label=``), or the StinespringDilation of a `dilation` family
+    dilation: bool = False
+
+
+FAMILIES = {
+    "example-ergodic": Family(2, (), example_ergodic_channel),
+    "example-mixing": Family(3, (), example_mixing_channel),
+    "depolarizing": Family(2, ("p",), depolarizing_channel),
+    "amplitude-damping": Family(2, ("gamma",), amplitude_damping_channel),
+    "dephasing": Family(2, ("p",), dephasing_channel),
+    "unitary": Family(2, ("theta",), unitary_channel),
+    "partial-swap-dilation": Family(2, ("theta",), partial_swap_dilation, dilation=True),
+    "cz-dilation": Family(2, (), cz_dilation, dilation=True),
+    "random": Family(None, ("kraus_rank", "seed"), lambda d, r, s, label: random_channel(d, int(r), int(s), label)),
+}
+
+
+def family(name: str) -> Family:
+    """The `FAMILIES` entry of `name`."""
+    if name not in FAMILIES:
+        raise ValueError(f"unknown channel name {name!r}")
+    return FAMILIES[name]
+
+
+def _builder_arguments(name: str, dim: int | None, parameters: dict) -> tuple[Family, list]:
+    """`name`'s family and builder arguments, once `dim` (``None``: the family's) and `parameters` fit it."""
+    fam = family(name)
+    dim = fam.dim if dim is None else dim
+    if dim is None:
+        raise ValueError(f"{name} channels need an explicit dim")
+    if fam.dim not in (None, dim):
+        raise ValueError(f"{name} has dimension {fam.dim}, not {dim}")
+    for key in (*fam.parameters, *sorted(parameters)):  # missing parameters first, then unknown ones
+        if key not in parameters:
+            raise ValueError(f"{name} requires parameter {key!r}")
+        if key not in fam.parameters:
+            raise ValueError(f"{name} takes no parameter {key!r}")
+    values = [float(parameters[key]) for key in fam.parameters]
+    return fam, values if fam.dim is not None else [dim, *values]
+
+
 def build(spec: ChannelSpec) -> KrausChannel:
     """Construct the channel a catalog entry (or compatible spec) describes."""
-    name = spec.name
-    params = spec.parameters
-    if name == "example-ergodic":
-        return example_ergodic_channel(label=spec.label)
-    if name == "example-mixing":
-        return example_mixing_channel(label=spec.label)
-    if name == "depolarizing":
-        return depolarizing_channel(_require(params, "p", name), label=spec.label)
-    if name == "amplitude-damping":
-        return amplitude_damping_channel(_require(params, "gamma", name), label=spec.label)
-    if name == "dephasing":
-        return dephasing_channel(_require(params, "p", name), label=spec.label)
-    if name == "unitary":
-        return unitary_channel(_require(params, "theta", name), label=spec.label)
-    if name == "partial-swap-dilation":
-        theta = _require(params, "theta", name)
-        return from_stinespring(partial_swap_dilation(theta), label=spec.label)
-    if name == "cz-dilation":
-        return from_stinespring(cz_dilation(), label=spec.label)
-    if name == "random":
-        rank = int(_require(params, "kraus_rank", name))
-        seed = int(_require(params, "seed", name))
-        return random_channel(spec.dim, rank, seed, label=spec.label)
-    raise ValueError(f"unknown channel name {name!r}")
+    fam, args = _builder_arguments(spec.name, spec.dim, spec.parameters)
+    if fam.dilation:
+        return from_stinespring(fam.builder(*args), label=spec.label)
+    return fam.builder(*args, label=spec.label)
 
 
 def build_named(name: str, dim: int | None = None, **params) -> KrausChannel:
-    """Build a channel by name, e.g. ``build_named("depolarizing", p=0.5)``."""
-    if dim is None:
-        if name == "random":
-            raise ValueError("random channels need an explicit dim")
-        dim = next((spec.dim for spec in catalog() if spec.name == name), None)
-        if dim is None:
-            raise ValueError(f"unknown channel name {name!r}")
+    """Build a channel by name, e.g. ``build_named("depolarizing", p=0.5)``; `dim` defaults to the family's."""
     spec = ChannelSpec(name, dim, dict(params), expected_verdict=None, provenance=PROVENANCE_RANDOM)
     return build(spec)
 
 
-def find_spec(name: str, **params) -> ChannelSpec:
-    """Catalog entry matching `name` and every given parameter value."""
+def find_spec(name: str, dim: int | None = None, **params) -> ChannelSpec:
+    """First catalog entry matching `name`, `dim` (when given) and every given parameter value."""
     for spec in catalog():
-        if spec.name != name:
-            continue
-        if all(math.isclose(spec.parameters.get(k, math.nan), float(v)) for k, v in params.items()):
+        if spec.matches(name, dim, params):
             return spec
     raise ValueError(f"no catalog entry named {name!r} with parameters {params}")
 
 
-def dilation_instance(name: str, theta: float | None = None) -> ConservedDilation:
+def dilation_instance(name: str, *, dim: int | None = None, **params) -> ConservedDilation:
     """Conserved-dilation fixture: spin observable ``sigma_z`` on both factors.
 
-    The bath state |0> is the non-degenerate maximal eigenvector of
-    ``sigma_z``, and both catalog unitaries commute with
-    ``sigma_z (x) I + I (x) sigma_z``.
+    Omitted parameters take the values of the family's first catalog
+    entry (``theta = pi/4`` for the partial swap).  The bath state |0> is
+    the non-degenerate maximal eigenvector of ``sigma_z``, and both
+    catalog unitaries commute with ``sigma_z (x) I + I (x) sigma_z``.
     """
-    if name == "partial-swap-dilation":
-        dil = partial_swap_dilation(math.pi / 4.0 if theta is None else theta)
-    elif name == "cz-dilation":
-        if theta is not None:
-            raise ValueError("cz-dilation takes no parameter")
-        dil = cz_dilation()
-    else:
+    if name not in FAMILIES or not FAMILIES[name].dilation:
         raise ValueError(f"no conserved-dilation fixture named {name!r}")
-    return ConservedDilation(dilation=dil, m_a=PAULI_Z.copy(), m_b=PAULI_Z.copy(), extremal=EXTREMAL_MAX)
+    fam, args = _builder_arguments(name, dim, {**find_spec(name).parameters, **params})
+    return ConservedDilation(dilation=fam.builder(*args), m_a=PAULI_Z.copy(), m_b=PAULI_Z.copy(), extremal=EXTREMAL_MAX)

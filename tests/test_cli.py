@@ -597,6 +597,65 @@ class TestZooCommands:
         assert rc == 1
         assert "key=value" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["depolarizing", "--param", "p=0.25", "--param", "q=1"],
+            ["partial-swap-dilation", "--param", "theta=1", "--param", "bogus=3"],
+            ["partial-swap-dilation", "--param", "theta=1", "--param", "bogus=3", "--instance"],
+        ],
+        ids=["kraus", "stinespring", "instance"],
+    )
+    def test_emit_rejects_unknown_parameter(self, capsys, argv):
+        rc, out, err = run_cli(capsys, ["zoo-emit", *argv])
+        assert (rc, out) == (1, "")
+        assert "no parameter" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dephasing", "--param", "p=0.3", "--dim", "5"],
+            ["example-mixing", "--dim", "2"],
+            ["partial-swap-dilation", "--dim", "3"],
+            ["cz-dilation", "--dim", "3", "--instance"],
+        ],
+        ids=["dephasing", "example-mixing", "stinespring", "instance"],
+    )
+    def test_emit_rejects_dimension_the_family_lacks(self, capsys, argv):
+        rc, out, err = run_cli(capsys, ["zoo-emit", *argv])
+        assert (rc, out) == (1, "")
+        assert "dimension" in err
+
+    def test_emit_random_dim_selects_the_matching_catalog_entry(self, capsys):
+        rc, out, err = run_cli(capsys, ["zoo-emit", "random", "--dim", "3"])
+        assert rc == 0, err
+        doc = json.loads(out)
+        assert (doc["dim"], doc["label"]) == (3, "random(kraus_rank=3,seed=13)")
+        spelled = run_cli(capsys, ["zoo-emit", "random", "--dim", "3", "--param", "kraus_rank=3", "--param", "seed=13"])
+        assert spelled == (0, out, "")
+
+    def test_emit_given_dim_is_not_replaced_by_a_catalog_entry(self, capsys):
+        rc, out, err = run_cli(capsys, ["zoo-emit", "random", "--dim", "5", "--param", "kraus_rank=3", "--param", "seed=13"])
+        assert rc == 0, err
+        assert json.loads(out)["dim"] == 5
+
+    def test_emit_given_value_is_used_as_given(self, capsys):
+        rc, out, err = run_cli(capsys, ["zoo-emit", "depolarizing", "--param", "p=0.25000000001"])
+        assert rc == 0, err
+        assert out != run_cli(capsys, ["zoo-emit", "depolarizing", "--param", "p=0.25"])[1]
+        expected = channellab.channel_to_document(channellab.build_named("depolarizing", p=0.25000000001))
+        assert out == canonical_json(expected) + "\n"
+
+    @pytest.mark.parametrize("name", sorted({spec.name for spec in channellab.catalog()}))
+    def test_emit_without_parameters_is_the_first_catalog_entry(self, capsys, name):
+        first = next(spec for spec in channellab.catalog() if spec.name == name)
+        spelled = [name]
+        for key, value in first.parameters.items():
+            spelled += ["--param", f"{key}={value!r}"]
+        bare = run_cli(capsys, ["zoo-emit", name])
+        assert bare[0] == 0, bare[2]
+        assert bare == run_cli(capsys, ["zoo-emit", *spelled])
+
 
 class TestDeterminism:
     def test_classify_output_is_byte_stable(self, capsys, tmp_path):

@@ -15,6 +15,7 @@ from channellab import (
     instance_to_document,
     validate_conserved,
 )
+from channellab import tolerances as tol
 from channellab.dilation import conserved_observable
 from channellab.spectral import VERDICT_MIXING, VERDICT_NOT_ERGODIC
 from channellab.zoo import PAULI_X, PAULI_Z, dilation_instance, partial_swap_unitary
@@ -121,6 +122,15 @@ class TestFactorizingEigenstates:
         assert report.n_clusters == 1
         assert report.max_cluster_size == 4
         assert report.has_degenerate_cluster
+
+    def test_chained_eigenvalues_form_one_cluster(self):
+        # phases 0, 0.6, 1.2, 1.8 x CLUSTER_TOL: each is within tolerance of the next, the
+        # ends are not, so only single linkage joins all four
+        steps = np.array([0.0, 1.2, 0.6, 1.8]) * tol.CLUSTER_TOL  # chain order 0-2-1-3
+        report = find_factorizing_eigenstates(_spin_dilation(np.diag(np.exp(1j * steps))))
+        assert report.n_clusters == 1
+        assert report.max_cluster_size == 4
+        assert report.count == 2
 
     def test_invalid_hypotheses_raise(self):
         cd = _spin_dilation(np.kron(PAULI_X, np.eye(2)))

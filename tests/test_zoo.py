@@ -6,6 +6,7 @@ import pytest
 from channellab import validate_cpt
 from channellab.spectral import VERDICT_NOT_ERGODIC
 from channellab.zoo import (
+    FAMILIES,
     PROVENANCE_RANDOM,
     PROVENANCES,
     ChannelSpec,
@@ -48,6 +49,13 @@ class TestCatalog:
     def test_catalog_order_is_deterministic(self):
         assert [s.label for s in catalog()] == [s.label for s in catalog()]
 
+    def test_catalog_and_family_table_cover_each_other(self):
+        assert {spec.name for spec in catalog()} == set(FAMILIES)
+        for spec in catalog():
+            family = FAMILIES[spec.name]
+            assert set(spec.parameters) == set(family.parameters), spec.label
+            assert family.dim in (None, spec.dim), spec.label
+
 
 class TestSpecValidation:
     def test_rejects_unknown_provenance(self):
@@ -80,6 +88,16 @@ class TestParameterValidation:
     def test_build_requires_parameters(self):
         spec = ChannelSpec("depolarizing", 2, {}, "mixing", "derived")
         with pytest.raises(ValueError, match="requires parameter"):
+            build(spec)
+
+    def test_build_rejects_a_parameter_the_family_does_not_take(self):
+        spec = ChannelSpec("depolarizing", 2, {"p": 0.25, "q": 1.0}, "mixing", "derived")
+        with pytest.raises(ValueError, match="depolarizing takes no parameter 'q'"):
+            build(spec)
+
+    def test_build_rejects_a_dimension_the_family_does_not_have(self):
+        spec = ChannelSpec("dephasing", 5, {"p": 0.3}, "not_ergodic", "derived")
+        with pytest.raises(ValueError, match="dimension 2, not 5"):
             build(spec)
 
 
@@ -134,6 +152,13 @@ class TestFindSpec:
     def test_finds_matching_parameters(self):
         spec = find_spec("amplitude-damping", gamma=0.7)
         assert spec.parameters == {"gamma": 0.7}
+
+    def test_dim_filter(self):
+        assert find_spec("random").dim == 2
+        spec = find_spec("random", dim=3)
+        assert (spec.dim, spec.parameters) == (3, {"kraus_rank": 3, "seed": 13})
+        with pytest.raises(ValueError, match="no catalog entry"):
+            find_spec("depolarizing", dim=3)
 
     def test_rejects_unknown_combination(self):
         with pytest.raises(ValueError, match="no catalog entry"):
