@@ -9,13 +9,15 @@ accept.
 Exit codes: 0 success, 1 usage or parse error, 2 validation or hypothesis
 failure, 3 numerical failure.  Output is byte-deterministic for a given
 input and seed (floats at 17 significant digits, keys sorted, no
-timestamps); the default seed comes from ``CHANNELLAB_SEED`` when set.
+timestamps); the default seed comes from ``CHANNELLAB_SEED`` when set,
+read at each call, and a seed that is not a non-negative integer exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -58,12 +60,18 @@ class UsageError(Exception):
     """Bad command line, unreadable file, or malformed JSON (exit code 1)."""
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("CHANNELLAB_SEED", "0")
+def _resolve_seed(given: int | None) -> int:
+    """The probe seed: `given` (``--seed``), else ``CHANNELLAB_SEED`` read at call time, else 0."""
+    source, raw = "--seed", given
+    if given is None:
+        source, raw = "CHANNELLAB_SEED", os.environ.get("CHANNELLAB_SEED", "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        return 0
+        seed = None
+    if seed is None or seed < 0:
+        raise UsageError(f"{source} must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 def _load_json(path: str):
@@ -292,12 +300,14 @@ def _cmd_zoo_emit(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; it holds no environment-dependent default."""
     parser = argparse.ArgumentParser(
         prog="channellab",
         description="Decide whether finite-dimensional quantum channels are ergodic and/or mixing.",
     )
-    parser.add_argument("--seed", type=int, default=_default_seed(),
+    parser.add_argument("--seed", type=int, default=None,
                         help="seed for all randomized probes (default: CHANNELLAB_SEED or 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -353,6 +363,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        args.seed = _resolve_seed(args.seed)
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ cross-validate the spectral classifier.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
@@ -88,15 +89,26 @@ def probe_states(dim: int, seed: int = 0, n_random: int = 10) -> list[DensityMat
     """Deterministic probe set: basis states, Haar-random pure states, I/dim.
 
     Random directions are normalized complex Gaussian vectors from a
-    seeded generator, so the set is reproducible.
+    seeded generator, so the set is reproducible.  Each state is the
+    matching entry of `_probe_stack`, validated as a `DensityMatrix`.
     """
-    states = [DensityMatrix.basis_state(dim, k) for k in range(dim)]
+    return [DensityMatrix(m) for m in _probe_stack(dim, seed, n_random)]
+
+
+def _probe_stack(dim: int, seed: int, n_random: int = 10) -> np.ndarray:
+    """The (dim + n_random + 1, dim, dim) stack of the `probe_states` matrices, unvalidated.
+
+    The entries are built by the elementwise steps of `DensityMatrix.pure`
+    (each vector divided by its own norm, an outer product, then
+    ``(m + m^dag) / 2``), so they are PSD and of unit trace by construction.
+    """
     rng = np.random.default_rng(seed)
-    for _ in range(n_random):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        states.append(DensityMatrix.pure(v))
-    states.append(DensityMatrix.maximally_mixed(dim))
-    return states
+    randoms = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(n_random)]
+    vectors = np.array([v / np.linalg.norm(v) for v in [*np.eye(dim, dtype=complex), *randoms]])
+    stack = np.empty((len(vectors) + 1, dim, dim), dtype=complex)
+    np.multiply(vectors[:, :, None], vectors[:, None, :].conj(), out=stack[:-1])
+    stack[-1] = np.eye(dim) / dim
+    return (stack + stack.conj().transpose(0, 2, 1)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -376,15 +388,23 @@ def cesaro_averages(
 ) -> dict[int, DensityMatrix]:
     """Cesaro averages under superoperator `s` at every horizon, keyed by horizon, as `DensityMatrix`.
 
-    The orbit runs in Bloch coordinates: ``CESARO_BLOCK`` terms by
-    products with the Bloch matrix R, then each later block as the one
-    before times ``R^CESARO_BLOCK``.  A running ``cumsum`` adds the terms
-    in order.  The blocks do not depend on the horizons, so each entry
-    equals ``cesaro_average(s, rho0, n)`` bit for bit.
+    The orbit runs in Bloch coordinates as rows: the first
+    ``CESARO_BLOCK`` terms by products with the Bloch matrix R, summed in
+    order by ``cumsum`` into the partial sums ``S_k``.  With
+    ``J = (R^T)^CESARO_BLOCK`` and ``n = CESARO_BLOCK b + k``, the sum of
+    the first n + 1 terms is ``S_last G(b) + S_k J^b``, where ``G(b) =
+    sum_{j<b} J^j``; `_block_powers` forms both by doubling, so the cost is
+    logarithmic in n.  Each horizon is computed on its own from the same
+    first block, so each entry equals ``cesaro_average(s, rho0, n)`` bit
+    for bit.  An average that is not a state (a rotation mode just off
+    modulus 1, grown by roundoff over a huge horizon, or past the double
+    range) raises ``numpy.linalg.LinAlgError``.
     """
     horizons = sorted(set(horizons))
     if not horizons or horizons[0] < 1:
         raise ValueError("n must be >= 1")
+    if horizons[-1] > sys.float_info.max:
+        raise ValueError("n exceeds the double range")
     if rho0.dim != s.dim:
         raise ValueError(f"state dimension {rho0.dim} does not match channel dimension {s.dim}")
     r = s.bloch
@@ -393,16 +413,42 @@ def cesaro_averages(
     for j in range(1, len(terms)):
         terms[j] = r @ terms[j - 1]
     sums = np.cumsum(terms, axis=0)
-    jump = np.linalg.matrix_power(r.T, CESARO_BLOCK) if horizons[-1] >= CESARO_BLOCK else None
-    start, averages = 0, {}
+    if horizons[-1] >= CESARO_BLOCK:
+        jump = np.linalg.matrix_power(r.T, CESARO_BLOCK)
+        jump /= jump[: s.dim, : s.dim].sum() / s.dim
+    averages = {}
     for n in horizons:
-        while n >= start + CESARO_BLOCK:
-            terms = terms @ jump
-            sums = np.cumsum(np.vstack([sums[-1:], terms]), axis=0)[1:]
-            start += CESARO_BLOCK
-        avg = unvec(from_bloch(sums[n - start] / (n + 1)))
-        averages[n] = DensityMatrix(avg / avg.trace().real)
+        blocks, k = divmod(n, CESARO_BLOCK)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if blocks:
+                power, geometric = _block_powers(jump, blocks)
+                total = sums[-1] @ geometric + sums[k] @ power
+            else:
+                total = sums[k]
+            avg = unvec(from_bloch(total / (n + 1)))
+            try:
+                averages[n] = DensityMatrix(avg / avg.trace().real)
+            except ValueError as exc:  # the true average is a state: roundoff grown past it, or overflow
+                raise np.linalg.LinAlgError(f"the Cesaro average at horizon {n:.6g} is not a state: {exc}") from exc
     return averages
+
+
+def _block_powers(jump: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(J^b, G(b))`` for ``J = jump`` and ``G(b) = sum_{j<b} J^j``, by doubling over the bits of `b`.
+
+    Like `orbit_oracle`'s squares, each power is divided by the trace it
+    gives I/d, so the roundoff in the eigenvalue 1 does not grow with b.
+    """
+    dim = math.isqrt(len(jump))
+    power, geometric = jump, np.eye(len(jump))
+    for bit in f"{b:b}"[1:]:  # from (J^1, G(1)) = (J, I), the leading bit
+        geometric += geometric @ power  # G(2m) = G(m) + G(m) J^m
+        power = power @ power
+        if bit == "1":
+            geometric += power  # G(2m + 1) = G(2m) + J^(2m)
+            power = power @ jump
+        power /= power[:dim, :dim].sum() / dim
+    return power, geometric
 
 
 def cesaro_average(s: Superoperator, rho0: DensityMatrix, n: int) -> DensityMatrix:
@@ -441,7 +487,8 @@ def orbit_oracle(
     """Brute-force mixing test by iterating a deterministic probe set under `s`.
 
     The probes are the d basis states, 10 seeded random pure states and
-    I/d (`probe_states`).  The channel counts as mixing when the maximum
+    I/d (`probe_states`), built as one stack by `_probe_stack` and not
+    re-validated.  The channel counts as mixing when the maximum
     pairwise trace distance over all probes is below `tol_distance` both
     at the horizon `n_max` (`final_max_distance`) and at the first step of
     the trailing window of ``max(1, n_max // 10)`` steps
@@ -457,9 +504,9 @@ def orbit_oracle(
     """
     if n_max < ORACLE_MIN_N_MAX:
         raise ValueError(f"n_max must be >= {ORACLE_MIN_N_MAX} for a meaningful horizon")
-    probes = probe_states(s.dim, seed=seed)
+    probes = _probe_stack(s.dim, seed)
     window = max(1, n_max // 10)
-    at = [to_bloch(np.stack([vec(p.matrix) for p in probes], axis=1)).real] * 2
+    at = [to_bloch(probes.transpose(0, 2, 1).reshape(len(probes), -1).T).real] * 2  # columns vec(p)
     square = s.bloch
     with np.errstate(over="ignore", invalid="ignore"):
         for bit in range(n_max.bit_length()):

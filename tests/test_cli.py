@@ -1,5 +1,6 @@
 """Command-line interface: payload schemas, exit codes, and byte determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -695,3 +696,80 @@ class TestDeterminism:
         a = run_cli(capsys, ["zoo-emit", "random", "--dim", "2", "--param", "kraus_rank=2", "--param", "seed=11"])
         b = run_cli(capsys, ["zoo-emit", "random", "--dim", "2", "--param", "kraus_rank=2", "--param", "seed=11"])
         assert a == b
+
+
+class TestOnePerProcess:
+    """One parser per process; the seed is resolved when each command runs."""
+
+    def test_parser_is_built_once_across_calls(self, capsys, monkeypatch):
+        run_cli(capsys, ["zoo-list"])  # the first call may build it
+        real_init = argparse.ArgumentParser.__init__
+        built = []
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for argv in (["zoo-list"], ["zoo-emit", "depolarizing"], ["zoo-list"]):
+            rc, out, err = run_cli(capsys, argv)
+            assert rc == 0, err
+        assert built == []
+
+    def test_environment_seed_is_read_per_call(self, capsys, tmp_path, monkeypatch):
+        path = emit_to_file(capsys, tmp_path, ["depolarizing", "--param", "p=0.5"], "depol.json")
+        real_oracle = cli.orbit_oracle
+        seeds = []
+
+        def recorded(*args, **kwargs):
+            seeds.append(kwargs["seed"])
+            return real_oracle(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "orbit_oracle", recorded)
+        for value in ("11", "4"):
+            monkeypatch.setenv("CHANNELLAB_SEED", value)
+            rc, out, err = run_cli(capsys, ["classify", path, "--oracle", "--nmax", "100"])
+            assert rc == 0, err
+        rc, out, err = run_cli(capsys, ["--seed", "9", "classify", path, "--oracle", "--nmax", "100"])
+        assert rc == 0, err
+        monkeypatch.delenv("CHANNELLAB_SEED")
+        rc, out, err = run_cli(capsys, ["classify", path, "--oracle", "--nmax", "100"])
+        assert rc == 0, err
+        assert seeds == [11, 4, 9, 0]
+
+    @pytest.mark.parametrize("exists", [True, False], ids=["valid-file", "missing-file"])
+    def test_negative_seed_is_a_usage_error_before_the_file_is_read(self, capsys, tmp_path, exists):
+        path = emit_to_file(capsys, tmp_path, ["depolarizing"], "depol.json") if exists else str(tmp_path / "none")
+        rc, out, err = run_cli(capsys, ["--seed", "-1", "classify", path, "--oracle"])
+        assert (rc, out) == (1, "")
+        assert "--seed must be a non-negative integer" in err
+
+    @pytest.mark.parametrize("value", ["abc", "-3", "", "1.5"])
+    def test_bad_environment_seed_is_a_usage_error(self, capsys, tmp_path, monkeypatch, value):
+        path = emit_to_file(capsys, tmp_path, ["depolarizing"], "depol.json")
+        monkeypatch.setenv("CHANNELLAB_SEED", value)
+        rc, out, err = run_cli(capsys, ["classify", path, "--oracle", "--nmax", "100"])
+        assert (rc, out) == (1, "")
+        assert f"CHANNELLAB_SEED must be a non-negative integer, got {value!r}" in err
+
+    def test_large_seed_is_valid(self, capsys, tmp_path):
+        path = emit_to_file(capsys, tmp_path, ["depolarizing"], "depol.json")
+        rc, out, err = run_cli(capsys, ["--seed", "99999999999999999999999", "classify", path, "--oracle"])
+        assert rc == 0, err
+
+
+class TestCesaroHugeHorizon:
+    @pytest.mark.parametrize(
+        "emit", [["depolarizing", "--param", "p=0.5"], ["example-ergodic"]], ids=["depolarizing", "population-flip"]
+    )
+    def test_exits_zero_at_once(self, capsys, tmp_path, emit):
+        path = emit_to_file(capsys, tmp_path, emit, "channel.json")
+        src = str(Path(channellab.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "channellab.cli", "cesaro", path, "--state", "basis:0", "--n", str(10**18)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )  # a sum linear in n would run out the timeout
+        assert (proc.returncode, proc.stderr) == (0, "")
+        report = json.loads(proc.stdout)["report"]
+        assert report["n"] == 10**18
+        assert report["distance_to_fixed_point"] < 1e-12  # the flip's one surplus term weighs 1/(n+1)

@@ -1,12 +1,15 @@
 """Lyapunov functionals, orbits, deformation, Cesaro averages, and the orbit oracle."""
 
+import contextlib
 import math
+import signal
 import time
 import warnings
 
 import numpy as np
 import pytest
 
+from channellab import lyapunov
 from channellab import (
     DensityMatrix,
     HypothesisViolation,
@@ -651,3 +654,91 @@ class TestDataProcessing:
                 before = relative_entropy(rho, sigma)
                 after = relative_entropy(apply(c, rho), apply(c, sigma))
                 assert after <= before + 1e-8
+
+
+class TestOracleProbeBlock:
+    """The oracle builds its probes once per call, as one stack, without per-state validation."""
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_one_call_makes_two_eigensolves(self, monkeypatch, dim):
+        s = to_superoperator(random_channel(dim, 2, 3))
+        real_eigvalsh = np.linalg.eigvalsh
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real_eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        orbit_oracle(s, n_max=100)
+        assert len(calls) == 2  # the distances at the window start and at the horizon
+
+    @pytest.mark.parametrize("dim,seed", [(2, 0), (3, 3), (8, 5)])
+    def test_starting_bloch_block_equals_the_probe_states(self, monkeypatch, dim, seed):
+        s = to_superoperator(random_channel(dim, 2, 7))
+        real_to_bloch = lyapunov.to_bloch
+        blocks = []
+
+        def recorded(y):
+            blocks.append(real_to_bloch(y))
+            return blocks[-1]
+
+        monkeypatch.setattr(lyapunov, "to_bloch", recorded)
+        result = orbit_oracle(s, n_max=100, seed=seed)
+        probes = probe_states(dim, seed=seed)
+        want = real_to_bloch(np.stack([vec(p.matrix) for p in probes], axis=1)).real
+        assert result.n_probes == len(probes) == dim + 11
+        assert np.array_equal(blocks[0].real, want)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Fail the enclosed block with ``TimeoutError`` once `seconds` of wall time have passed."""
+
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestCesaroHorizons:
+    """Whole blocks of 100 terms are summed by doubling, so the cost is logarithmic in n."""
+
+    @pytest.mark.parametrize("channel", [build_named("depolarizing", p=0.5), example_ergodic_channel()],
+                             ids=["depolarizing", "population-flip"])
+    def test_huge_horizon_is_reached_at_once(self, channel):
+        s = to_superoperator(channel)
+        with warnings.catch_warnings(), _deadline(10.0):  # a linear-time sum would take 10**16 blocks
+            warnings.simplefilter("error")
+            avg = cesaro_average(s, GROUND_2, 10**18)
+        # depolarizing: the orbit reaches I/2; population flip: one surplus ground term of weight 1/(n+1)
+        assert np.abs(avg.matrix - np.eye(2) / 2.0).max() <= 1e-12
+
+    def test_matches_the_term_by_term_sum_on_odd_horizons(self):
+        c = random_channel(3, 2, 5)
+        rho0 = random_state(3, seed=4)
+        averages = cesaro_averages(to_superoperator(c), rho0, (199, 777, 1234))
+        m, acc = rho0.matrix, rho0.matrix.copy()
+        for n in range(1, 1235):
+            m = apply_raw(c, m)
+            acc = acc + m
+            if n in averages:
+                assert np.abs(averages[n].matrix - acc / acc.trace().real).max() <= 1e-12, n
+
+    def test_overgrown_rotation_mode_is_a_numerical_failure(self):
+        s = to_superoperator(build_named("unitary", theta=1.0))
+        plus = DensityMatrix.pure(np.ones(2))
+        with warnings.catch_warnings(), _deadline(10.0):
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="not a state"):
+                cesaro_average(s, plus, 10**30)
+
+    def test_horizon_beyond_the_double_range_is_rejected(self):
+        with _deadline(10.0), pytest.raises(ValueError, match="double range"):
+            cesaro_average(to_superoperator(example_ergodic_channel()), GROUND_2, 10**400)
