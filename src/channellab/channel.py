@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -318,29 +319,64 @@ def validate_cpt(c: KrausChannel) -> ValidationReport:
     return ValidationReport(completeness_defect, min_choi, checks, tuple(messages))
 
 
-def apply_raw(c: KrausChannel, m: np.ndarray) -> np.ndarray:
-    """``sum_n K_n m K_n^dag`` (no state validation): one stacked product, its r terms added in order."""
+def _kraus_sum(m: np.ndarray, out: np.ndarray, stack: np.ndarray, adjoints: np.ndarray, left: np.ndarray,
+               terms: np.ndarray) -> None:
+    """``sum_n K_n m K_n^dag`` into `out`: the left products ``K_n m`` as one GEMM of the (r d, d) `stack`, the
+    right products with the (r, d, d) `adjoints` as one batched product, and the r terms added in order."""
+    np.matmul(stack, m, out=left)
+    np.matmul(left.reshape(terms.shape), adjoints, out=terms)
+    np.add.reduce(terms, axis=0, out=out)
+
+
+def _kernel_operands(c: KrausChannel) -> tuple:
+    """The stacked operators, their adjoints and fresh (left, terms) buffers of `_kraus_sum` for `c`."""
     ops = c.kraus_ops
-    return (ops @ m @ ops.conj().transpose(0, 2, 1)).sum(0)
+    stack = ops.reshape(-1, c.dim)
+    return stack, ops.conj().transpose(0, 2, 1), np.empty(stack.shape, complex), np.empty(ops.shape, complex)
+
+
+def apply_raw(c: KrausChannel, m: np.ndarray) -> np.ndarray:
+    """``sum_n K_n m K_n^dag`` (no state validation), by the Kraus-sum kernel."""
+    out = np.empty((c.dim, c.dim), dtype=complex)
+    _kraus_sum(m, out, *_kernel_operands(c))
+    return out
+
+
+def advance(c: KrausChannel, states: np.ndarray, stop: Callable | None = None) -> int:
+    """Fill ``states[1:]`` in place, each entry one channel step of the one before; returns the last index filled.
+
+    Each output is made Hermitian, trace-gated and renormalized to unit
+    trace.  A validated Kraus set moves the trace of a state by at most
+    ``||sum K^dag K - I||_op <= dim * KRAUS_COMPLETENESS_TOL``; a larger
+    output trace defect signals a non-trace-preserving Kraus set and
+    raises.  The outputs are not checked for positivity.  When `stop` is
+    given, filling ends after the first index k with ``stop(k)`` true.
+    """
+    operands = _kernel_operands(c)
+    total, hermitian = np.empty((2, c.dim, c.dim), dtype=complex)
+    diagonal = hermitian.reshape(-1)[:: c.dim + 1]  # its sum is the trace, added as `numpy.trace` adds it
+    bound = c.dim * tol.KRAUS_COMPLETENESS_TOL
+    for k in range(1, len(states)):
+        _kraus_sum(states[k - 1], total, *operands)
+        np.conjugate(total.T, out=hermitian)
+        np.add(total, hermitian, out=hermitian)
+        np.divide(hermitian, 2.0, out=hermitian)
+        trace = float(np.add.reduce(diagonal).real)
+        if abs(trace - 1.0) > bound:
+            raise ValueError(f"channel output trace defect {abs(trace - 1.0):.3e}; Kraus set is not trace preserving")
+        np.divide(hermitian, trace, out=states[k])
+        if stop is not None and stop(k):
+            return k
+    return len(states) - 1
 
 
 def step(c: KrausChannel, m: np.ndarray) -> np.ndarray:
-    """One channel step on a state matrix, returned Hermitian, unit-trace and read-only.
-
-    A validated Kraus set moves the trace of a state by at most
-    ``||sum K^dag K - I||_op <= dim * KRAUS_COMPLETENESS_TOL``; a larger
-    output trace defect signals a non-trace-preserving Kraus set and
-    raises.  The remaining defect is renormalized away.  The output is not
-    checked for positivity; `apply` validates it as a `DensityMatrix`.
-    """
-    out = apply_raw(c, m)
-    out = (out + out.conj().T) / 2.0
-    trace = float(out.trace().real)
-    if abs(trace - 1.0) > c.dim * tol.KRAUS_COMPLETENESS_TOL:
-        raise ValueError(f"channel output trace defect {abs(trace - 1.0):.3e}; Kraus set is not trace preserving")
-    out = out / trace
-    out.setflags(write=False)
-    return out
+    """One `advance` step on a state matrix, returned Hermitian, unit-trace and read-only."""
+    states = np.empty((2, c.dim, c.dim), dtype=complex)
+    states[0] = m
+    advance(c, states)
+    states.setflags(write=False)
+    return states[1]
 
 
 def apply(c: KrausChannel, rho: DensityMatrix) -> DensityMatrix:

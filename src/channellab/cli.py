@@ -186,12 +186,12 @@ def _cmd_orbit(args) -> int:
     report = analyze(c)
     unique = report.verdict != VERDICT_NOT_ERGODIC
     requested = (*functionals, FUNCTIONAL_TRIVIAL) if unique else tuple(functionals)
-    values = orbit(report, rho0, max(args.n, 1), requested).functional_values
     rows = args.n + 1
-    columns = {
+    values = {name: a[:rows] for name, a in orbit(report, rho0, max(args.n, 1), requested).functional_values.items()}
+    columns = {  # the trivial distances are one column object, written once
         "n": range(rows),
-        "distance_to_fixed_point": values[FUNCTIONAL_TRIVIAL][:rows] if unique else [None] * rows,
-        "functionals": {name: values[name][:rows] for name in functionals},
+        "distance_to_fixed_point": values[FUNCTIONAL_TRIVIAL] if unique else [None] * rows,
+        "functionals": {name: values[name] for name in functionals},
     }
     sys.stdout.write("".join(line + "\n" for line in canonical_json_rows(columns, rows)))
     return 0

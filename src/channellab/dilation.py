@@ -23,8 +23,8 @@ from . import tolerances as tol
 from .channel import (
     DensityMatrix,
     StinespringDilation,
+    advance,
     from_stinespring,
-    step,
     stinespring_from_document,
 )
 from .errors import HypothesisViolation, InternalInconsistencyError
@@ -328,17 +328,15 @@ def conservation_audit(cd: ConservedDilation, rho0: DensityMatrix, n: int) -> Co
     bath_input = np.outer(phi, phi.conj())
     bath_reference = float(np.real(np.trace(cd.m_b @ bath_input)))
 
-    system_expectations = []
+    states = np.empty((n + 1, cd.dim_a, cd.dim_a), dtype=complex)
+    states[0] = rho0.matrix
+    advance(channel, states)
+    system_expectations = [float(np.real(np.trace(cd.m_a @ state))) for state in states]
     outflows = []
-    state = rho0.matrix
-    for k in range(n + 1):
-        system_expectations.append(float(np.real(np.trace(cd.m_a @ state))))
-        if k == n:
-            break
+    for state in states[:-1]:
         joint = u @ np.kron(state, bath_input) @ u.conj().T
         bath_out = opalg.partial_trace(joint, cd.dim_a, cd.dim_b, keep="B")
         outflows.append(float(np.real(np.trace(cd.m_b @ bath_out))) - bath_reference)
-        state = step(channel, state)
 
     # "max": outflow <= 0 and system expectation non-decreasing; "min": both reversed
     sign = -1.0 if cd.extremal == EXTREMAL_MAX else 1.0

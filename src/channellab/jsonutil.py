@@ -140,16 +140,28 @@ def canonical_json_rows(columns, rows: int) -> list:
     """``canonical_json`` of each of `rows` records given as columns, written column by column.
 
     `columns` is a sequence of one value per record, or a dict of such
-    columns; record k is `columns` with each column replaced by its k-th value.
+    columns; record k is `columns` with each column replaced by its k-th
+    value.  A column object that appears twice is written once.
     """
-    if not isinstance(columns, dict):
+    return _column_rows(columns, rows, {})
+
+
+def _column_rows(columns, rows: int, written: dict) -> list:
+    """`canonical_json_rows` of `columns`, taking the texts of a column already written from `written` (by id)."""
+    if id(columns) in written:
+        return written[id(columns)]
+    if isinstance(columns, dict):
+        keys = sorted(columns)
+        template = "{{" + ",".join(_key_text(key).replace("{", "{{").replace("}", "}}") + ":{}" for key in keys) + "}}"
+        parts = [_column_rows(columns[key], rows, written) for key in keys]
+        texts = list(map(template.format, *parts)) if parts else ["{}"] * rows
+    else:
         values = columns.tolist() if isinstance(columns, np.ndarray) else list(columns)
-        return list(map(_FLOAT if _finite_floats(values) else _text, values))
-    if not columns:
-        return ["{}"] * rows
-    keys = sorted(columns)
-    template = "{{" + ",".join(_key_text(key).replace("{", "{{").replace("}", "}}") + ":{}" for key in keys) + "}}"
-    return list(map(template.format, *(canonical_json_rows(columns[key], rows) for key in keys)))
+        kinds = set(map(type, values))
+        finite_floats = kinds == {float} and all(map(math.isfinite, values))
+        texts = list(map(str if kinds == {int} else _FLOAT if finite_floats else _text, values))
+    written[id(columns)] = texts
+    return texts
 
 
 def input_digest(doc) -> str:

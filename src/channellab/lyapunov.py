@@ -23,7 +23,7 @@ import numpy as np
 
 from . import opalg
 from . import tolerances as tol
-from .channel import DensityMatrix, KrausChannel, Superoperator, is_unital, power, step, unvec, vec
+from .channel import DensityMatrix, KrausChannel, Superoperator, advance, is_unital, power, step, unvec, vec
 from .channel import from_bloch, to_bloch
 from .errors import HypothesisViolation
 from .spectral import VERDICT_NOT_ERGODIC, SpectralReport
@@ -37,6 +37,7 @@ ORACLE_MIXING = "mixing"
 ORACLE_NOT_MIXING = "not_mixing_within_horizon"
 ORACLE_MIN_N_MAX = 100
 CESARO_BLOCK = 100  # terms per block of the Cesaro sum; fixed, so averages do not depend on the horizons
+REPEAT_WINDOW = 16  # recent orbit states searched for an exact repeat; changes the speed of `orbit`, never its output
 
 
 def trivial_lyapunov(rho: DensityMatrix, fixed_point: DensityMatrix) -> float:
@@ -178,9 +179,14 @@ def _unique_fixed_point(report: SpectralReport, purpose: str) -> DensityMatrix:
 def orbit(report: SpectralReport, rho0: DensityMatrix, n: int, functionals: tuple = ()) -> OrbitTrace:
     """Iterate the analyzed channel `n` times from `rho0`, evaluating `functionals`.
 
-    The orbit is stepped on state matrices (`channel.step`); only the
+    The orbit is stepped on state matrices (`channel.advance`); only the
     final state is validated as a `DensityMatrix`, and a final matrix that
-    is not a state raises its `ValueError`.  Functionals that compare
+    is not a state raises its `ValueError`.  Stepping stops at the first
+    state whose bytes equal one of the last ``REPEAT_WINDOW`` states: a
+    step is a function of its input's bits, so the rest of the orbit
+    repeats with that period and is copied, and the functionals, evaluated
+    on the states before the repeat, are extended the same way.  Every
+    state and value equals that of stepping all `n` times.  Functionals that compare
     against the fixed point (trivial, relative entropy) require the
     channel to have a unique fixed point.
     """
@@ -198,11 +204,37 @@ def orbit(report: SpectralReport, rho0: DensityMatrix, n: int, functionals: tupl
     except (ValueError, MemoryError) as exc:  # numpy refuses a shape beyond the address space
         raise ValueError(f"an orbit of {n} steps at dimension {report.dim} does not fit in memory") from exc
     states[0] = rho0.matrix
-    for k in range(n):
-        states[k + 1] = step(report.channel, states[k])
+    recent = {states[0].tobytes(): 0}  # bytes of the last REPEAT_WINDOW states -> index
+
+    def repeats(k: int) -> bool:
+        if recent.setdefault(states[k].tobytes(), k) < k:
+            return True
+        if len(recent) > REPEAT_WINDOW:
+            del recent[next(iter(recent))]
+        return False
+
+    end = advance(report.channel, states, repeats)  # the first repeated index, else n
+    start = recent[states[end].tobytes()]  # the index that states[end] repeats, else end
+    if start == end:
+        start = end = n + 1
+    _extend_periodic(states, start, end)  # a step is a function of its input's bits, so states[start:end] recur
     DensityMatrix(states[-1])
     states.setflags(write=False)
-    return OrbitTrace(states=states, functional_values=_evaluate(evaluators, states), n_steps=n)
+    values = _evaluate(evaluators, states[:end])  # on the distinct states, then lengthened and extended like them
+    values = {name: _extend_periodic(np.resize(a, n + 1), start, end) for name, a in values.items()}
+    for a in values.values():
+        a.setflags(write=False)
+    return OrbitTrace(states=states, functional_values=values, n_steps=n)
+
+
+def _extend_periodic(a: np.ndarray, start: int, end: int) -> np.ndarray:
+    """Fill ``a[end:]`` so that ``a[start:]`` repeats ``a[start:end]``, by doubling copies of whole periods."""
+    filled = end
+    while filled < len(a):
+        size = min(filled - start, len(a) - filled)
+        a[filled : filled + size] = a[start : start + size]
+        filled += size
+    return a
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ from channellab import (
     to_superoperator,
     validate_cpt,
 )
-from channellab.channel import Superoperator, apply_raw, from_bloch, step, to_bloch, unvec, vec
+from channellab import channel as channel_module
+from channellab.channel import Superoperator, advance, apply_raw, from_bloch, step, to_bloch, unvec, vec
 from channellab.zoo import (
     SWAP,
     build,
@@ -155,6 +156,30 @@ class TestAction:
             got = step(channel, m)
             assert got.tobytes() == want.tobytes()
             m = got
+
+    def test_advance_stops_at_the_trace_gate_of_step_one(self, monkeypatch):
+        ops = [np.array(k) for k in build_named("amplitude-damping", gamma=0.3).kraus_ops]
+        ops[0][0, 0] *= np.sqrt(1.0 + 1e-6)
+        c = KrausChannel(2, tuple(ops))
+        calls = []
+        kraus_sum = channel_module._kraus_sum
+        monkeypatch.setattr(channel_module, "_kraus_sum", lambda *args: calls.append(1) or kraus_sum(*args))
+        states = np.zeros((100, 2, 2), dtype=complex)
+        states[0] = DensityMatrix.basis_state(2, 0).matrix
+        with pytest.raises(ValueError, match="not trace preserving"):
+            advance(c, states)
+        assert len(calls) == 1
+        assert not states[1:].any()
+
+    def test_step_is_one_advance_step(self):
+        c = _random_kraus_channel(3, 2, 5)
+        states = np.empty((4, 3, 3), dtype=complex)
+        states[0] = random_state(3, seed=2).matrix
+        assert advance(c, states) == 3
+        m = states[0]
+        for k in range(1, 4):
+            m = step(c, m)
+            assert not m.flags.writeable and m.tobytes() == states[k].tobytes()
 
     def test_kraus_ops_are_one_read_only_stack(self):
         ops = [np.array(k) for k in build_named("amplitude-damping", gamma=0.3).kraus_ops]

@@ -195,6 +195,20 @@ def test_rows_equal_per_record_canonical_json():
     assert canonical_json_rows(columns, 4) == want
 
 
+def test_rows_of_a_repeated_column_and_of_integer_columns_equal_per_record_canonical_json():
+    shared = np.array([0.25, 1e-300, 3.0])
+    columns = {
+        "d": shared,
+        "f": {"trivial": shared, "other": shared[:]},
+        "n": range(3),
+        "i": [0, -7, 10**20],
+        "m": [1, True, 2],
+        "g": [np.int64(4), 5, 6],
+    }
+    want = [canonical_json({key: _row(value, k) for key, value in columns.items()}) for k in range(3)]
+    assert canonical_json_rows(columns, 3) == want
+
+
 def test_rows_keep_the_errors_of_canonical_json():
     with pytest.raises(ValueError, match="NaN"):
         canonical_json_rows({"x": np.array([1.0, math.nan])}, 2)

@@ -30,7 +30,8 @@ from channellab import (
     von_neumann_entropy,
     weak_contraction_check,
 )
-from channellab.channel import Superoperator, apply_raw, vec
+from channellab import channel as channel_module
+from channellab.channel import Superoperator, apply_raw, step, vec
 from channellab.lyapunov import (
     FUNCTIONAL_RELATIVE_ENTROPY,
     FUNCTIONAL_TRIVIAL,
@@ -214,6 +215,73 @@ class TestOrbit:
         c = build_named("dephasing", p=0.3)
         with pytest.raises(HypothesisViolation):
             orbit(analyze(c), GROUND_2, 2, (FUNCTIONAL_TRIVIAL,))
+
+
+def _count_kraus_sums(monkeypatch) -> list:
+    """Record one entry per call of the Kraus-sum kernel."""
+    calls = []
+    kraus_sum = channel_module._kraus_sum
+    monkeypatch.setattr(channel_module, "_kraus_sum", lambda *args: calls.append(1) or kraus_sum(*args))
+    return calls
+
+
+class TestOrbitRepeats:
+    """`orbit` stops stepping at the first exact repeat; its output equals stepping every time."""
+
+    def test_matches_per_step_loop_on_catalog(self, zoo_entries, spectral_reports):
+        n = 2000
+        periods = set()
+        for spec, c in zoo_entries:
+            report = spectral_reports[spec.label]
+            names = _applicable_functionals(report)
+            fixed_point = report.fixed_points[0].matrix if FUNCTIONAL_TRIVIAL in names else None
+            for rho in (DensityMatrix.basis_state(c.dim, 0), random_state(c.dim, seed=5)):
+                want = np.empty((n + 1, c.dim, c.dim), dtype=complex)
+                want[0] = rho.matrix
+                for k in range(n):
+                    want[k + 1] = step(c, want[k])
+                got = orbit(report, rho, n, tuple(names))
+                assert got.states.tobytes() == want.tobytes(), spec.label
+                for name in names:
+                    evaluate = {name: lyapunov._functional_evaluator(name, fixed_point)}
+                    reference = lyapunov._evaluate(evaluate, want)[name]
+                    assert got.functional_values[name].tobytes() == reference.tobytes(), (spec.label, name)
+                seen = {}
+                for k, state in enumerate(want):
+                    j = seen.setdefault(state.tobytes(), k)
+                    if j < k:
+                        periods.add(k - j)
+                        break
+        assert {1, 2, 5, 6} <= periods
+
+    def test_repeat_at_step_one_takes_one_kernel_call(self, monkeypatch):
+        report = analyze(build_named("cz-dilation"))
+        calls = _count_kraus_sums(monkeypatch)
+        trace = orbit(report, DensityMatrix.basis_state(2, 0), 10**5, (FUNCTIONAL_VON_NEUMANN,))
+        assert len(calls) == 1
+        assert trace.states.shape == (10**5 + 1, 2, 2) and not trace.states.flags.writeable
+        assert (trace.states == trace.states[0]).all()
+        values = trace.functional_values[FUNCTIONAL_VON_NEUMANN]
+        assert values.shape == (10**5 + 1,) and not values.flags.writeable and (values == values[0]).all()
+
+    def test_period_two_is_stepped_to_its_first_repeat_only(self, monkeypatch):
+        report = analyze(example_ergodic_channel())
+        calls = _count_kraus_sums(monkeypatch)
+        trace = orbit(report, GROUND_2, 50, (FUNCTIONAL_TRIVIAL,))
+        assert len(calls) == 2
+        states, values = trace.states, trace.functional_values[FUNCTIONAL_TRIVIAL]
+        assert states[1].tobytes() != states[0].tobytes()
+        for k in range(2, 51):
+            assert states[k].tobytes() == states[k - 2].tobytes()
+            assert values[k] == values[k - 2]
+
+    def test_orbit_without_repeat_takes_n_kernel_calls(self, monkeypatch):
+        report = analyze(build_named("unitary", theta=1.0))
+        rho = random_state(2, seed=5)
+        calls = _count_kraus_sums(monkeypatch)
+        trace = orbit(report, rho, 300)
+        assert len(calls) == 300
+        assert len({state.tobytes() for state in trace.states}) == 301
 
 
 def _stepping_verdict(report, functional, trial_states, n):
