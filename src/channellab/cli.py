@@ -197,36 +197,23 @@ def _cmd_orbit(args) -> int:
     return 0
 
 
+def _fields(obj, *skip: str) -> dict:
+    """The fields of dataclass `obj` by name, without those named in `skip`."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name not in skip}
+
+
 def _cmd_dilation(args) -> int:
     doc = _load_json(args.file)
     cross = cross_validate(instance_from_document(doc))
     fact = cross.factorizing
-    report = fact.validation
     payload = {
-        "validation": {
-            "commutator_defect": report.commutator_defect,
-            "bath_eigen_residual": report.bath_eigen_residual,
-            "extremal_gap": report.extremal_gap,
-            "extremal_eigenvalue": report.extremal_eigenvalue,
-            "checks": dict(report.checks),
-            "passed": report.passed,
-        },
+        "validation": {**_fields(fact.validation, "messages"), "passed": fact.validation.passed},
         "factorizing": {
-            "count": fact.count,
-            "verdict": fact.verdict,
-            "states": [complex_to_json(nu) for nu in fact.states],
-            "unitary_eigenvalues": [[z.real, z.imag] for z in fact.unitary_eigenvalues],
-            "residuals": list(fact.residuals),
-            "n_clusters": fact.n_clusters,
-            "has_degenerate_cluster": fact.has_degenerate_cluster,
+            **_fields(fact, "max_cluster_size", "validation"),
+            "states": complex_to_json(fact.states),
+            "unitary_eigenvalues": complex_to_json(fact.unitary_eigenvalues),
         },
-        "cross_validation": {
-            "factorizing_verdict": cross.factorizing_verdict,
-            "spectral_verdict": cross.spectral_verdict,
-            "agree": cross.agree,
-            "count": cross.count,
-            "fixed_point_distance": cross.fixed_point_distance,
-        },
+        "cross_validation": _fields(cross, "factorizing"),
     }
     warnings = [] if cross.agree else ["factorizing and spectral verdicts disagree"]
     _emit(_envelope("dilation", doc, payload, warnings))

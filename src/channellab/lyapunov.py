@@ -23,7 +23,7 @@ import numpy as np
 
 from . import opalg
 from . import tolerances as tol
-from .channel import DensityMatrix, KrausChannel, Superoperator, advance, is_unital, power, step, unvec, vec
+from .channel import DensityMatrix, KrausChannel, Superoperator, advance, is_unital, step, vec
 from .channel import from_bloch, to_bloch
 from .errors import HypothesisViolation
 from .spectral import VERDICT_NOT_ERGODIC, SpectralReport
@@ -37,7 +37,6 @@ ORACLE_MIXING = "mixing"
 ORACLE_NOT_MIXING = "not_mixing_within_horizon"
 ORACLE_MIN_N_MAX = 100
 CESARO_BLOCK = 100  # terms per block of the Cesaro sum; fixed, so averages do not depend on the horizons
-REPEAT_WINDOW = 16  # recent orbit states searched for an exact repeat; changes the speed of `orbit`, never its output
 
 
 def trivial_lyapunov(rho: DensityMatrix, fixed_point: DensityMatrix) -> float:
@@ -182,11 +181,11 @@ def orbit(report: SpectralReport, rho0: DensityMatrix, n: int, functionals: tupl
     The orbit is stepped on state matrices (`channel.advance`); only the
     final state is validated as a `DensityMatrix`, and a final matrix that
     is not a state raises its `ValueError`.  Stepping stops at the first
-    state whose bytes equal one of the last ``REPEAT_WINDOW`` states: a
-    step is a function of its input's bits, so the rest of the orbit
-    repeats with that period and is copied, and the functionals, evaluated
-    on the states before the repeat, are extended the same way.  Every
-    state and value equals that of stepping all `n` times.  Functionals that compare
+    state whose bytes equal those of an earlier state: a step is a
+    function of its input's bits, so the rest of the orbit repeats with
+    that period and is copied, and the functionals, evaluated on the
+    states before the repeat, are extended the same way.  Every state and
+    value equals that of stepping all `n` times.  Functionals that compare
     against the fixed point (trivial, relative entropy) require the
     channel to have a unique fixed point.
     """
@@ -204,17 +203,9 @@ def orbit(report: SpectralReport, rho0: DensityMatrix, n: int, functionals: tupl
     except (ValueError, MemoryError) as exc:  # numpy refuses a shape beyond the address space
         raise ValueError(f"an orbit of {n} steps at dimension {report.dim} does not fit in memory") from exc
     states[0] = rho0.matrix
-    recent = {states[0].tobytes(): 0}  # bytes of the last REPEAT_WINDOW states -> index
-
-    def repeats(k: int) -> bool:
-        if recent.setdefault(states[k].tobytes(), k) < k:
-            return True
-        if len(recent) > REPEAT_WINDOW:
-            del recent[next(iter(recent))]
-        return False
-
-    end = advance(report.channel, states, repeats)  # the first repeated index, else n
-    start = recent[states[end].tobytes()]  # the index that states[end] repeats, else end
+    seen = {states[0].tobytes(): 0}  # bytes of every state stepped so far -> its first index
+    end = advance(report.channel, states, lambda k: seen.setdefault(states[k].tobytes(), k) < k)  # first repeat, else n
+    start = seen[states[end].tobytes()]  # the index that states[end] repeats, else end
     if start == end:
         start = end = n + 1
     _extend_periodic(states, start, end)  # a step is a function of its input's bits, so states[start:end] recur
@@ -369,16 +360,15 @@ def asymptotic_deformation_estimate(
 
     The channel asymptotically deforms the pair when the horizon distance
     differs from the initial one; mixing is equivalent to every distinct
-    pair deforming (toward zero).
+    pair deforming (toward zero).  Both states of every pair are carried
+    to the horizon together by `_advance`.
     """
     if n < 1:
         raise ValueError("horizon n must be >= 1")
-    s_n = power(s, n)
-    results = []
-    for rho, sigma in pairs:
-        d0 = _distinct_pair_distance(s.dim, rho, sigma)
-        results.append((d0, opalg.trace_norm(unvec(s_n @ vec(rho.matrix - sigma.matrix)))))
-    return results
+    initial = [_distinct_pair_distance(s.dim, rho, sigma) for rho, sigma in pairs]
+    stack = np.array([(rho.matrix, sigma.matrix) for rho, sigma in pairs]).reshape(-1, s.dim, s.dim)
+    (at,) = _advance(s, stack, (n,))
+    return list(zip(initial, _trace_distances(at[:, 0::2], at[:, 1::2]).tolist()))
 
 
 def deformation_evidence(results: list[tuple[float, float]]) -> bool:
@@ -457,7 +447,7 @@ def cesaro_averages(
                 total = sums[-1] @ geometric + sums[k] @ power
             else:
                 total = sums[k]
-            avg = unvec(from_bloch(total / (n + 1)))
+            avg = from_bloch(total / (n + 1)).reshape(s.dim, s.dim).T  # the column-stacked matrix
             try:
                 averages[n] = DensityMatrix(avg / avg.trace().real)
             except ValueError as exc:  # the true average is a state: roundoff grown past it, or overflow
@@ -468,7 +458,7 @@ def cesaro_averages(
 def _block_powers(jump: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
     """``(J^b, G(b))`` for ``J = jump`` and ``G(b) = sum_{j<b} J^j``, by doubling over the bits of `b`.
 
-    Like `orbit_oracle`'s squares, each power is divided by the trace it
+    Like the squares of `_advance`, each power is divided by the trace it
     gives I/d, so the roundoff in the eigenvalue 1 does not grow with b.
     """
     dim = math.isqrt(len(jump))
@@ -505,12 +495,46 @@ class OracleResult:
     trailing_window: int
 
 
-def _max_pairwise_distance(columns: np.ndarray) -> float:
-    """Largest trace distance between any two states among the Bloch coordinates in `columns`."""
-    dim = math.isqrt(columns.shape[0])
-    i_idx, j_idx = np.triu_indices(columns.shape[1], k=1)
-    diffs = from_bloch(columns[:, i_idx] - columns[:, j_idx]).T.reshape(-1, dim, dim)  # Hermitian, read transposed
-    return float(np.abs(np.linalg.eigvalsh(diffs)).sum(axis=1).max())
+def _advance(s: Superoperator, states: np.ndarray, exponents: tuple) -> list[np.ndarray]:
+    """For each n of `exponents`, the Bloch coordinates of ``tau^n`` of every matrix of `states`, as columns.
+
+    One pass over the bits of the largest exponent squares the Bloch
+    matrix R of `s` and advances the columns to every exponent.  Like
+    `channel.step`, it divides each square by the trace it gives I/d and
+    each advanced column by its own trace, so the roundoff in the
+    eigenvalue 1 does not compound with the horizon.  A block that is not
+    finite (a rotation mode just above modulus 1, grown past the double
+    range) raises ``numpy.linalg.LinAlgError``.
+    """
+    at = [to_bloch(states.transpose(0, 2, 1).reshape(len(states), -1).T).real] * len(exponents)  # columns vec(p)
+    square, top = s.bloch, max(exponents)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bit in range(top.bit_length()):
+            for k, n in enumerate(exponents):
+                if n >> bit & 1:
+                    at[k] = square @ at[k]
+                    at[k] /= at[k][: s.dim].sum(0)
+            if top >> bit > 1:
+                square = square @ square
+                square /= square[: s.dim, : s.dim].sum() / s.dim
+    if not np.isfinite(at).all():
+        raise np.linalg.LinAlgError(f"states advanced to horizon {top} are not finite")
+    return at
+
+
+def _trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Trace norm of the difference of each column of `a` and the same column of `b`, in Bloch coordinates.
+
+    Finite columns near the double range can still differ beyond it, so a
+    norm that is not finite raises ``numpy.linalg.LinAlgError``.
+    """
+    dim = math.isqrt(a.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        operators = from_bloch(a - b).T.reshape(-1, dim, dim)  # Hermitian, read transposed
+        norms = np.abs(np.linalg.eigvalsh(operators)).sum(axis=1)
+    if not np.isfinite(norms).all():
+        raise np.linalg.LinAlgError("trace distances of the advanced states are not finite")
+    return norms
 
 
 def orbit_oracle(
@@ -526,32 +550,17 @@ def orbit_oracle(
     the trailing window of ``max(1, n_max // 10)`` steps
     (`trailing_max_distance`).  A channel never increases trace distances,
     so the window's first step carries its maximum up to roundoff.  One
-    pass over the bits of the two exponents squares the Bloch matrix R of
-    `s` and advances the probes' Bloch coordinates to both points; like
-    `channel.step`, it divides each square by the trace it gives I/d and
-    each probe by its own trace, so the roundoff in the eigenvalue 1 does
-    not compound.  A distance that is not finite (a rotation mode just
-    above modulus 1, grown past the double range) raises
+    `_advance` carries the probes to both points, and `_trace_distances`
+    reads every pair; a block or a distance that is not finite raises
     ``numpy.linalg.LinAlgError``.  The verdict never reads the spectrum.
     """
     if n_max < ORACLE_MIN_N_MAX:
         raise ValueError(f"n_max must be >= {ORACLE_MIN_N_MAX} for a meaningful horizon")
     probes = _probe_stack(s.dim, seed)
     window = max(1, n_max // 10)
-    at = [to_bloch(probes.transpose(0, 2, 1).reshape(len(probes), -1).T).real] * 2  # columns vec(p)
-    square = s.bloch
-    with np.errstate(over="ignore", invalid="ignore"):
-        for bit in range(n_max.bit_length()):
-            for k, n in enumerate((n_max - window + 1, n_max)):
-                if n >> bit & 1:
-                    at[k] = square @ at[k]
-                    at[k] /= at[k][: s.dim].sum(0)
-            if n_max >> bit > 1:
-                square = square @ square
-                square /= square[: s.dim, : s.dim].sum() / s.dim
-        trailing_max, final = map(_max_pairwise_distance, at) if np.isfinite(at).all() else (math.inf,) * 2
-    if not math.isfinite(trailing_max + final):
-        raise np.linalg.LinAlgError(f"orbit oracle distances are not finite at horizon {n_max}")
+    i, j = np.triu_indices(len(probes), k=1)
+    at = _advance(s, probes, (n_max - window + 1, n_max))
+    trailing_max, final = (float(_trace_distances(block[:, i], block[:, j]).max()) for block in at)
     verdict = ORACLE_MIXING if final < tol_distance and trailing_max < tol_distance else ORACLE_NOT_MIXING
     return OracleResult(verdict=verdict, final_max_distance=final, trailing_max_distance=trailing_max, n_max=n_max,
                         tol=tol_distance, n_probes=len(probes), trailing_window=window)

@@ -283,6 +283,26 @@ class TestOrbitRepeats:
         assert len(calls) == 300
         assert len({state.tobytes() for state in trace.states}) == 301
 
+    def test_long_cycle_is_stepped_to_its_first_repeat_only(self, monkeypatch):
+        report = analyze(build_named("random", dim=4, kraus_rank=4, seed=17))
+        rho, n = DensityMatrix.basis_state(4, 0), 2000
+        want = np.empty((n + 1, 4, 4), dtype=complex)
+        want[0] = rho.matrix
+        seen, first = {want[0].tobytes(): 0}, None
+        for k in range(1, n + 1):
+            want[k] = step(report.channel, want[k - 1])
+            if seen.setdefault(want[k].tobytes(), k) < k and first is None:
+                first = k
+        assert first is not None and first - seen[want[first].tobytes()] > 16  # a long round-off cycle
+        calls = _count_kraus_sums(monkeypatch)
+        trace = orbit(report, rho, n, (FUNCTIONAL_TRIVIAL,))
+        assert len(calls) == first
+        assert trace.states.tobytes() == want.tobytes()
+        fixed_point = report.fixed_points[0].matrix
+        evaluate = {FUNCTIONAL_TRIVIAL: lyapunov._functional_evaluator(FUNCTIONAL_TRIVIAL, fixed_point)}
+        reference = lyapunov._evaluate(evaluate, want)[FUNCTIONAL_TRIVIAL]
+        assert trace.functional_values[FUNCTIONAL_TRIVIAL].tobytes() == reference.tobytes()
+
 
 def _stepping_verdict(report, functional, trial_states, n):
     """Reference: Lyapunov evidence from a per-step loop that validates every state."""
@@ -473,6 +493,56 @@ class TestDeformation:
         pairs = [(GROUND_2, DensityMatrix.basis_state(2, 1))]
         asymptotic_deformation_estimate(s, pairs, 500)
         assert builds == []
+
+    def test_matches_per_step_reference_on_catalog(self, zoo_entries, spectral_reports):
+        n = 37
+        for spec, c in zoo_entries:
+            pairs = [
+                (DensityMatrix.basis_state(c.dim, 0), random_state(c.dim, seed=5)),
+                (DensityMatrix.basis_state(c.dim, c.dim - 1), DensityMatrix.maximally_mixed(c.dim)),
+            ]
+            got = asymptotic_deformation_estimate(spectral_reports[spec.label].superoperator, pairs, n)
+            for (rho, sigma), (d0, d_limit) in zip(pairs, got):
+                a, b = rho.matrix, sigma.matrix
+                for _ in range(n):
+                    a, b = step(c, a), step(c, b)
+                assert d0 == pytest.approx(trace_norm(rho.matrix - sigma.matrix), abs=1e-12), spec.label
+                assert d_limit == pytest.approx(trace_norm(a - b), abs=1e-12), spec.label
+
+    @pytest.mark.parametrize("n", [10**17, 10**18])
+    def test_renormalized_squaring_holds_at_long_horizons(self, n):
+        # a plain matrix power compounds the roundoff in the eigenvalue 1 with the horizon
+        s = to_superoperator(build_named("depolarizing", p=0.5))
+        [(d0, d_limit)] = asymptotic_deformation_estimate(s, [(GROUND_2, MIXED_2)], n)
+        assert d0 == pytest.approx(1.0)
+        assert d_limit <= 1e-12
+
+    def test_overflowing_rotation_modes_raise_a_numerical_failure(self):
+        s = to_superoperator(build_named("unitary", theta=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+                asymptotic_deformation_estimate(s, [(GROUND_2, MIXED_2)], 10**20)
+
+    def test_finite_states_whose_distances_overflow_raise_a_numerical_failure(self):
+        s = to_superoperator(build_named("unitary", theta=1.0))
+        probes = lyapunov._probe_stack(2, 0)
+        finite, overflowing = 10**17, 10**20  # the largest horizon whose advanced probes are finite, by bisection
+        while overflowing - finite > 1:
+            mid = (finite + overflowing) // 2
+            try:
+                lyapunov._advance(s, probes, (mid,))
+                finite = mid
+            except np.linalg.LinAlgError:
+                overflowing = mid
+        assert np.abs(lyapunov._advance(s, probes, (finite,))[0]).max() > 1e307
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+                orbit_oracle(s, n_max=finite)
+            with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+                states = probe_states(2)
+                asymptotic_deformation_estimate(s, [(states[0], rho) for rho in states[1:]], finite)
 
 
 class TestWeakContraction:

@@ -1,5 +1,6 @@
-"""Source rules: every numerical threshold lives in `tolerances.py`."""
+"""Source rules: every numerical threshold lives in `tolerances.py`; only `channel.py` forms matrix powers of S."""
 
+import ast
 import tokenize
 from pathlib import Path
 
@@ -31,3 +32,20 @@ def test_scanner_finds_the_tolerance_table():
 )
 def test_no_exponent_literal_outside_tolerances(path):
     assert exponent_literals(path) == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in SRC.glob("*.py") if p.name not in ("channel.py", "__init__.py")),
+    ids=lambda p: p.name,
+)
+def test_no_runtime_module_imports_the_superoperator_power(path):
+    # the complex S is formed only by `Superoperator.matrix` and by explicit `power` calls
+    lines = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module == "channel" and node.level == 1
+        for alias in node.names
+        if alias.name == "power"
+    ]
+    assert lines == []
