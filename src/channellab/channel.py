@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +81,33 @@ def from_bloch(x: np.ndarray) -> np.ndarray:
     out[upper] = a - 1j * b
     out[lower] = a + 1j * b
     return out
+
+
+def _squares(r: np.ndarray, top: int) -> Iterator[tuple[int, np.ndarray]]:
+    """``(b, R^(2^b))`` for each bit b of `top`, lowest first, with R = `r` a Bloch matrix; a square is formed only
+    when a higher bit follows.  Like `step`, each is divided by the trace it gives I/d, so the roundoff in the
+    eigenvalue 1 does not compound with the exponent."""
+    dim = math.isqrt(len(r))
+    for bit in range(top.bit_length()):
+        yield bit, r
+        if top >> bit > 1:
+            r = r @ r
+            r /= r[:dim, :dim].sum() / dim
+
+
+def _trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Trace norm of the difference of each column of `a` and the same column of `b`, in Bloch coordinates.
+
+    Finite columns near the double range can still differ beyond it, so a
+    norm that is not finite raises ``numpy.linalg.LinAlgError``.
+    """
+    dim = math.isqrt(a.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        operators = from_bloch(a - b).T.reshape(-1, dim, dim)  # Hermitian, read transposed
+        norms = np.abs(np.linalg.eigvalsh(operators)).sum(axis=1)
+    if not np.isfinite(norms).all():
+        raise np.linalg.LinAlgError("trace distances of the advanced states are not finite")
+    return norms
 
 
 def _bloch_real(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -424,14 +451,15 @@ def compose(c1: KrausChannel, c2: KrausChannel) -> KrausChannel:
 
 
 def power(s: Superoperator, n: int) -> np.ndarray:
-    """Read-only matrix ``U R^n U^dag`` of the `n`-fold iteration, from a power of the Bloch matrix R.
+    """Read-only matrix ``U R^n U^dag`` of the `n`-fold iteration, the product of the `_squares` of R at the bits of n.
 
     `s` has passed the spectral-radius gate once; its power is returned
     as a plain matrix, not gated again.
     """
     if n < 0:
         raise ValueError("power requires n >= 0")
-    m = from_bloch(from_bloch(np.linalg.matrix_power(s.bloch, n)).conj().T).conj().T  # (U (U R^n)^dag)^dag
+    r = functools.reduce(np.matmul, (square for b, square in _squares(s.bloch, n) if n >> b & 1), np.eye(len(s.bloch)))
+    m = from_bloch(from_bloch(r).conj().T).conj().T  # (U (U R^n)^dag)^dag
     m.setflags(write=False)
     return m
 

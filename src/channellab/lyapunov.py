@@ -24,7 +24,7 @@ import numpy as np
 from . import opalg
 from . import tolerances as tol
 from .channel import DensityMatrix, KrausChannel, Superoperator, advance, is_unital, step, vec
-from .channel import from_bloch, to_bloch
+from .channel import _squares, _trace_distances, from_bloch, to_bloch
 from .errors import HypothesisViolation
 from .spectral import VERDICT_NOT_ERGODIC, SpectralReport
 
@@ -36,7 +36,6 @@ FUNCTIONALS = (FUNCTIONAL_TRIVIAL, FUNCTIONAL_RELATIVE_ENTROPY, FUNCTIONAL_VON_N
 ORACLE_MIXING = "mixing"
 ORACLE_NOT_MIXING = "not_mixing_within_horizon"
 ORACLE_MIN_N_MAX = 100
-CESARO_BLOCK = 100  # terms per block of the Cesaro sum; fixed, so averages do not depend on the horizons
 
 
 def trivial_lyapunov(rho: DensityMatrix, fixed_point: DensityMatrix) -> float:
@@ -361,14 +360,16 @@ def asymptotic_deformation_estimate(
     The channel asymptotically deforms the pair when the horizon distance
     differs from the initial one; mixing is equivalent to every distinct
     pair deforming (toward zero).  Both states of every pair are carried
-    to the horizon together by `_advance`.
+    to the horizon together by `_advance`, then `_check_purity`.
     """
     if n < 1:
         raise ValueError("horizon n must be >= 1")
     initial = [_distinct_pair_distance(s.dim, rho, sigma) for rho, sigma in pairs]
     stack = np.array([(rho.matrix, sigma.matrix) for rho, sigma in pairs]).reshape(-1, s.dim, s.dim)
     (at,) = _advance(s, stack, (n,))
-    return list(zip(initial, _trace_distances(at[:, 0::2], at[:, 1::2]).tolist()))
+    distances = _trace_distances(at[:, 0::2], at[:, 1::2])
+    _check_purity([at], n)
+    return list(zip(initial, distances.tolist()))
 
 
 def deformation_evidence(results: list[tuple[float, float]]) -> bool:
@@ -410,17 +411,16 @@ def cesaro_averages(
 ) -> dict[int, DensityMatrix]:
     """Cesaro averages under superoperator `s` at every horizon, keyed by horizon, as `DensityMatrix`.
 
-    The orbit runs in Bloch coordinates as rows: the first
-    ``CESARO_BLOCK`` terms by products with the Bloch matrix R, summed in
-    order by ``cumsum`` into the partial sums ``S_k``.  With
-    ``J = (R^T)^CESARO_BLOCK`` and ``n = CESARO_BLOCK b + k``, the sum of
-    the first n + 1 terms is ``S_last G(b) + S_k J^b``, where ``G(b) =
-    sum_{j<b} J^j``; `_block_powers` forms both by doubling, so the cost is
-    logarithmic in n.  Each horizon is computed on its own from the same
-    first block, so each entry equals ``cesaro_average(s, rho0, n)`` bit
-    for bit.  An average that is not a state (a rotation mode just off
-    modulus 1, grown by roundoff over a huge horizon, or past the double
-    range) raises ``numpy.linalg.LinAlgError``.
+    With ``G(k) = sum_{j<k} R^j`` for the Bloch matrix R, the sum of the
+    first m = n + 1 terms is ``G(m) x`` for the Bloch column x of `rho0`.
+    One pass over the bits of the largest m, from low to high, reads the
+    `_squares` ``R^(2^b)`` and doubles ``G(2^(b+1)) = G(2^b) + R^(2^b) G(2^b)``;
+    at each set bit b of its m, a horizon's sum gains ``G(2^b) x_k`` and its
+    own column x_k advances by ``R^(2^b)``.  The cost is logarithmic in n,
+    and each entry reads only its own bits, so it equals
+    ``cesaro_average(s, rho0, n)`` bit for bit.  An average that is not a
+    state (a rotation mode just off modulus 1, grown by roundoff over a
+    huge horizon, or past the double range) raises ``LinAlgError``.
     """
     horizons = sorted(set(horizons))
     if not horizons or horizons[0] < 1:
@@ -429,48 +429,26 @@ def cesaro_averages(
         raise ValueError("n exceeds the double range")
     if rho0.dim != s.dim:
         raise ValueError(f"state dimension {rho0.dim} does not match channel dimension {s.dim}")
-    r = s.bloch
-    terms = np.empty((min(CESARO_BLOCK, horizons[-1] + 1), len(r)))
-    terms[0] = to_bloch(vec(rho0.matrix)).real
-    for j in range(1, len(terms)):
-        terms[j] = r @ terms[j - 1]
-    sums = np.cumsum(terms, axis=0)
-    if horizons[-1] >= CESARO_BLOCK:
-        jump = np.linalg.matrix_power(r.T, CESARO_BLOCK)
-        jump /= jump[: s.dim, : s.dim].sum() / s.dim
+    columns = dict.fromkeys(horizons, to_bloch(vec(rho0.matrix)).real)
+    sums = dict.fromkeys(horizons, 0.0)
+    top = horizons[-1] + 1
+    geometric = np.eye(len(s.bloch))
     averages = {}
-    for n in horizons:
-        blocks, k = divmod(n, CESARO_BLOCK)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if blocks:
-                power, geometric = _block_powers(jump, blocks)
-                total = sums[-1] @ geometric + sums[k] @ power
-            else:
-                total = sums[k]
-            avg = from_bloch(total / (n + 1)).reshape(s.dim, s.dim).T  # the column-stacked matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bit, square in _squares(s.bloch, top):
+            for n in horizons:
+                if (n + 1) >> bit & 1:
+                    sums[n] = sums[n] + geometric @ columns[n]
+                    columns[n] = square @ columns[n]
+            if top >> bit > 1:
+                geometric = geometric + square @ geometric
+        for n in horizons:
+            avg = from_bloch(sums[n] / (n + 1)).reshape(s.dim, s.dim).T  # the column-stacked matrix
             try:
                 averages[n] = DensityMatrix(avg / avg.trace().real)
             except ValueError as exc:  # the true average is a state: roundoff grown past it, or overflow
                 raise np.linalg.LinAlgError(f"the Cesaro average at horizon {n:.6g} is not a state: {exc}") from exc
     return averages
-
-
-def _block_powers(jump: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(J^b, G(b))`` for ``J = jump`` and ``G(b) = sum_{j<b} J^j``, by doubling over the bits of `b`.
-
-    Like the squares of `_advance`, each power is divided by the trace it
-    gives I/d, so the roundoff in the eigenvalue 1 does not grow with b.
-    """
-    dim = math.isqrt(len(jump))
-    power, geometric = jump, np.eye(len(jump))
-    for bit in f"{b:b}"[1:]:  # from (J^1, G(1)) = (J, I), the leading bit
-        geometric += geometric @ power  # G(2m) = G(m) + G(m) J^m
-        power = power @ power
-        if bit == "1":
-            geometric += power  # G(2m + 1) = G(2m) + J^(2m)
-            power = power @ jump
-        power /= power[:dim, :dim].sum() / dim
-    return power, geometric
 
 
 def cesaro_average(s: Superoperator, rho0: DensityMatrix, n: int) -> DensityMatrix:
@@ -498,43 +476,34 @@ class OracleResult:
 def _advance(s: Superoperator, states: np.ndarray, exponents: tuple) -> list[np.ndarray]:
     """For each n of `exponents`, the Bloch coordinates of ``tau^n`` of every matrix of `states`, as columns.
 
-    One pass over the bits of the largest exponent squares the Bloch
-    matrix R of `s` and advances the columns to every exponent.  Like
-    `channel.step`, it divides each square by the trace it gives I/d and
-    each advanced column by its own trace, so the roundoff in the
-    eigenvalue 1 does not compound with the horizon.  A block that is not
-    finite (a rotation mode just above modulus 1, grown past the double
-    range) raises ``numpy.linalg.LinAlgError``.
+    One pass over the renormalized `_squares` of the Bloch matrix R of `s`
+    advances the columns to every exponent, and each advanced column is
+    divided by its own trace, so the roundoff in the eigenvalue 1 does not
+    compound with the horizon.  A block that is not finite (a rotation
+    mode just above modulus 1, grown past the double range) raises
+    ``numpy.linalg.LinAlgError``.
     """
     at = [to_bloch(states.transpose(0, 2, 1).reshape(len(states), -1).T).real] * len(exponents)  # columns vec(p)
-    square, top = s.bloch, max(exponents)
+    top = max(exponents)
     with np.errstate(over="ignore", invalid="ignore"):
-        for bit in range(top.bit_length()):
+        for bit, square in _squares(s.bloch, top):
             for k, n in enumerate(exponents):
                 if n >> bit & 1:
                     at[k] = square @ at[k]
                     at[k] /= at[k][: s.dim].sum(0)
-            if top >> bit > 1:
-                square = square @ square
-                square /= square[: s.dim, : s.dim].sum() / s.dim
     if not np.isfinite(at).all():
         raise np.linalg.LinAlgError(f"states advanced to horizon {top} are not finite")
     return at
 
 
-def _trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Trace norm of the difference of each column of `a` and the same column of `b`, in Bloch coordinates.
+def _check_purity(blocks: list[np.ndarray], horizon: int) -> None:
+    """Raise ``numpy.linalg.LinAlgError`` when a column of `blocks` has a squared norm (its purity) above 1.
 
-    Finite columns near the double range can still differ beyond it, so a
-    norm that is not finite raises ``numpy.linalg.LinAlgError``.
-    """
-    dim = math.isqrt(a.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        operators = from_bloch(a - b).T.reshape(-1, dim, dim)  # Hermitian, read transposed
-        norms = np.abs(np.linalg.eigvalsh(operators)).sum(axis=1)
-    if not np.isfinite(norms).all():
-        raise np.linalg.LinAlgError("trace distances of the advanced states are not finite")
-    return norms
+    A state has purity at most 1; roundoff in a rotation mode passes ``PURITY_SLACK`` near a horizon of 4e6."""
+    with np.errstate(over="ignore"):  # a square that overflows reads as infinite purity
+        purity = max(float(np.square(block).sum(0).max()) for block in blocks)
+    if purity > 1.0 + tol.PURITY_SLACK:
+        raise np.linalg.LinAlgError(f"states advanced to horizon {horizon:.6g} have purity {purity:.6g} above 1")
 
 
 def orbit_oracle(
@@ -551,8 +520,9 @@ def orbit_oracle(
     (`trailing_max_distance`).  A channel never increases trace distances,
     so the window's first step carries its maximum up to roundoff.  One
     `_advance` carries the probes to both points, and `_trace_distances`
-    reads every pair; a block or a distance that is not finite raises
-    ``numpy.linalg.LinAlgError``.  The verdict never reads the spectrum.
+    reads every pair; a block or a distance that is not finite, then a
+    purity above 1 (`_check_purity`), raises ``numpy.linalg.LinAlgError``.
+    The verdict never reads the spectrum.
     """
     if n_max < ORACLE_MIN_N_MAX:
         raise ValueError(f"n_max must be >= {ORACLE_MIN_N_MAX} for a meaningful horizon")
@@ -561,6 +531,7 @@ def orbit_oracle(
     i, j = np.triu_indices(len(probes), k=1)
     at = _advance(s, probes, (n_max - window + 1, n_max))
     trailing_max, final = (float(_trace_distances(block[:, i], block[:, j]).max()) for block in at)
+    _check_purity(at, n_max)
     verdict = ORACLE_MIXING if final < tol_distance and trailing_max < tol_distance else ORACLE_NOT_MIXING
     return OracleResult(verdict=verdict, final_max_distance=final, trailing_max_distance=trailing_max, n_max=n_max,
                         tol=tol_distance, n_probes=len(probes), trailing_window=window)

@@ -13,7 +13,6 @@ reconstruction of fixed points from peripheral eigenvectors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,7 @@ import scipy.linalg
 from . import opalg
 from . import tolerances as tol
 from .channel import DensityMatrix, KrausChannel, Superoperator, from_bloch, step, to_bloch, to_superoperator, unvec, vec
+from .channel import _trace_distances
 from .errors import InternalInconsistencyError
 from .jsonutil import complex_to_json
 
@@ -262,28 +262,27 @@ def estimate_rate(
     if not 1 <= lo < hi:
         raise ValueError(f"invalid fit window [{lo}, {hi}]")
     fixed_vec, v = to_bloch(np.stack([vec(report.fixed_points[0].matrix), vec(rho0.matrix)], axis=1)).real.T
-    points = []
+    window = np.empty((len(v), hi - lo + 1))
     for n in range(1, hi + 1):
         v = report.superoperator.bloch @ v
-        if n < lo:
-            continue
-        dist = opalg.trace_norm(unvec(from_bloch(v - fixed_vec)))
-        if dist > tol.DISTANCE_FLOOR:
-            points.append((n, math.log(dist)))
-    if len(points) < 2:
+        if n >= lo:
+            window[:, n - lo] = v
+    distances = _trace_distances(window, fixed_vec[:, None])
+    usable = distances > tol.DISTANCE_FLOOR
+    if usable.sum() < 2:
         raise ValueError(
             f"fewer than two usable distances above {tol.DISTANCE_FLOOR:g} in window [{lo}, {hi}]; "
             "the orbit has already converged - shrink the window"
         )
-    ns = np.array([p[0] for p in points], dtype=float)
-    logs = np.array([p[1] for p in points], dtype=float)
+    ns = np.arange(lo, hi + 1)[usable].astype(float)
+    logs = np.log(distances[usable])
     slope, intercept = np.polyfit(ns, logs, 1)
     fit_residual = float(np.abs(logs - (slope * ns + intercept)).max())
     return ConvergenceEstimate(
         empirical_rate=float(np.exp(slope)),
         kappa=report.kappa,
         n_range=(lo, hi),
-        n_points=len(points),
+        n_points=len(ns),
         fit_residual=fit_residual,
     )
 

@@ -773,3 +773,24 @@ class TestCesaroHugeHorizon:
         report = json.loads(proc.stdout)["report"]
         assert report["n"] == 10**18
         assert report["distance_to_fixed_point"] < 1e-12  # the flip's one surplus term weighs 1/(n+1)
+
+
+class TestOraclePurityBound:
+    @pytest.mark.parametrize(
+        "emit",
+        [["unitary", "--param", "theta=1"], ["unitary", "--param", "theta=1.0472"], ["cz-dilation"]],
+        ids=["unitary-1", "unitary-1.0472", "cz-dilation"],
+    )
+    def test_rotation_modes_past_the_bound_are_a_numerical_failure(self, capsys, tmp_path, emit):
+        path = emit_to_file(capsys, tmp_path, emit, "rot.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            rc, out, err = run_cli(capsys, ["classify", path, "--oracle", "--nmax", str(10**16)])
+        assert (rc, out) == (3, "")
+        assert err.startswith("numerical failure: ") and "purity" in err and err.count("\n") == 1
+
+    def test_mixing_channel_passes_the_bound(self, capsys, tmp_path):
+        path = emit_to_file(capsys, tmp_path, ["depolarizing", "--param", "p=0.5"], "depol.json")
+        rc, out, err = run_cli(capsys, ["classify", path, "--oracle", "--nmax", str(10**16)])
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["report"]["oracle"]["final_max_distance"] <= 2.0

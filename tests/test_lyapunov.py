@@ -880,3 +880,36 @@ class TestCesaroHorizons:
     def test_horizon_beyond_the_double_range_is_rejected(self):
         with _deadline(10.0), pytest.raises(ValueError, match="double range"):
             cesaro_average(to_superoperator(example_ergodic_channel()), GROUND_2, 10**400)
+
+
+class TestPurityBound:
+    """An advanced state has purity at most 1; past ``PURITY_SLACK`` the roundoff of a rotation mode raises."""
+
+    HORIZONS = (2000, 10**9, 10**12, 10**16, 10**17)
+    ROTATIONS = ("unitary(theta=1)", "unitary(theta=1.0472)", "cz-dilation")
+
+    def test_oracle_distances_stay_trace_distances_or_raise(self, zoo_entries):
+        cases = [(spec.label, c) for spec, c in zoo_entries]
+        cases += [(f"random-d{d}", random_channel(d, 2, 3)) for d in (5, 8, 12, 16)]
+        raised = set()
+        for label, c in cases:
+            s = to_superoperator(c)
+            for n_max in self.HORIZONS:
+                try:
+                    result = orbit_oracle(s, n_max=n_max)
+                except np.linalg.LinAlgError as exc:
+                    assert "purity" in str(exc), (label, n_max)
+                    raised.add((label, n_max))
+                    continue
+                assert max(result.final_max_distance, result.trailing_max_distance) <= 2.0, (label, n_max)
+        assert raised == {(label, n) for label in self.ROTATIONS for n in self.HORIZONS if n > 2000}
+
+    def test_deformation_estimate_raises_past_the_bound(self):
+        s = to_superoperator(build_named("unitary", theta=1.0))
+        pair = [(random_state(2, seed=1), random_state(2, seed=2))]
+        [(d0, d_limit)] = asymptotic_deformation_estimate(s, pair, 10**6)
+        assert d_limit == pytest.approx(d0, abs=1e-9)  # a unitary keeps every distance
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="purity"):
+                asymptotic_deformation_estimate(s, pair, 10**17)

@@ -49,3 +49,14 @@ def test_no_runtime_module_imports_the_superoperator_power(path):
         if alias.name == "power"
     ]
     assert lines == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_calls_matrix_power(path):
+    # every power of R is a product of the renormalized squares of `channel._squares`
+    lines = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "matrix_power"
+    ]
+    assert lines == []
