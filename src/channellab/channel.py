@@ -85,14 +85,16 @@ def from_bloch(x: np.ndarray) -> np.ndarray:
 
 def _squares(r: np.ndarray, top: int) -> Iterator[tuple[int, np.ndarray]]:
     """``(b, R^(2^b))`` for each bit b of `top`, lowest first, with R = `r` a Bloch matrix; a square is formed only
-    when a higher bit follows.  Like `step`, each is divided by the trace it gives I/d, so the roundoff in the
-    eigenvalue 1 does not compound with the exponent."""
+    when a higher bit follows.  If R keeps the trace (its first d rows sum to the trace row), each square is divided
+    like a `step` by the trace it gives I/d, so roundoff in the eigenvalue 1 cannot compound; others are kept as is."""
     dim = math.isqrt(len(r))
+    keeps_trace = np.abs(r[:dim].sum(0) - (np.arange(len(r)) < dim)).max() <= dim * tol.KRAUS_COMPLETENESS_TOL
     for bit in range(top.bit_length()):
         yield bit, r
         if top >> bit > 1:
             r = r @ r
-            r /= r[:dim, :dim].sum() / dim
+            if keeps_trace:
+                r /= r[:dim, :dim].sum() / dim
 
 
 def _trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -176,9 +178,7 @@ class DensityMatrix:
     def basis_state(cls, dim: int, k: int) -> "DensityMatrix":
         if not 0 <= k < dim:
             raise ValueError(f"basis index {k} out of range for dim {dim}")
-        v = np.zeros(dim, dtype=complex)
-        v[k] = 1.0
-        return cls.pure(v)
+        return cls.pure(np.eye(dim, dtype=complex)[k])
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
@@ -453,8 +453,8 @@ def compose(c1: KrausChannel, c2: KrausChannel) -> KrausChannel:
 def power(s: Superoperator, n: int) -> np.ndarray:
     """Read-only matrix ``U R^n U^dag`` of the `n`-fold iteration, the product of the `_squares` of R at the bits of n.
 
-    `s` has passed the spectral-radius gate once; its power is returned
-    as a plain matrix, not gated again.
+    The squares are renormalized only when R keeps the trace, so any `s`
+    that passed the spectral-radius gate gets its own power, not gated again.
     """
     if n < 0:
         raise ValueError("power requires n >= 0")

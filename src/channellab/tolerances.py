@@ -37,7 +37,7 @@ STATE_MATCH_TOL = 1e-9       # trace distance below which two states count as eq
 DISTINCT_PAIR_TOL = 1e-9     # state pairs closer than this are rejected as duplicates
 WEAK_CONTRACTION_TOL = 1e-9  # slack when testing for a strict distance decrease
 ORACLE_TOL = 1e-8            # default orbit-oracle bound on the max pairwise probe distance
-PURITY_SLACK = 1e-9          # purity excess allowed to advanced states; rotation modes drift ~1.2e-16 a step
+PURITY_SLACK = 1e-9          # advanced states' purity excess; rotation modes add ~2.4e-16 a step, tripping near n = 4e6
 
 # --- conserved dilations --------------------------------------------------------
 COMMUTATOR_TOL = 1e-9        # max-norm defect of [mA (x) I + I (x) mB, U] = 0

@@ -1,5 +1,7 @@
 """Channel construction, validation, representation, and document round trips."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -419,3 +421,12 @@ class TestPowerAtHugeExponents:
         c = random_channel(3, 2, 5)
         projection = np.outer(vec(analyze(c).fixed_points[0].matrix), vec(np.eye(3)))
         assert np.abs(power(to_superoperator(c), 10**18) - projection).max() <= 1e-12
+
+    @pytest.mark.parametrize("scale", [0.5, 0.0])
+    def test_power_of_a_map_that_does_not_keep_the_trace_is_its_plain_power(self, scale):
+        # only trace-preserving squares are renormalized: a scaled identity keeps its scale, and 0 stays 0 without 0/0
+        s = Superoperator(2, scale * np.eye(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (1, 2, 3, 60):
+                assert np.abs(power(s, n) - scale**n * np.eye(4)).max() <= 1e-13 * scale**n
