@@ -347,19 +347,21 @@ def validate_cpt(c: KrausChannel) -> ValidationReport:
 
 
 def _kraus_sum(m: np.ndarray, out: np.ndarray, stack: np.ndarray, adjoints: np.ndarray, left: np.ndarray,
-               terms: np.ndarray) -> None:
-    """``sum_n K_n m K_n^dag`` into `out`: the left products ``K_n m`` as one GEMM of the (r d, d) `stack`, the
-    right products with the (r, d, d) `adjoints` as one batched product, and the r terms added in order."""
-    np.matmul(stack, m, out=left)
-    np.matmul(left.reshape(terms.shape), adjoints, out=terms)
+               blocks: np.ndarray, terms: np.ndarray) -> None:
+    """``sum_n K_n m K_n^dag`` into `out`: the left products ``K_n m`` as one GEMM of the (r d, d) `stack` into
+    `left` (``ndarray.dot``, the zgemm of ``np.matmul`` at less dispatch cost), the right products of its
+    (r, d, d) view `blocks` with the `adjoints` as one batched product, and the r terms added in order."""
+    stack.dot(m, out=left)
+    np.matmul(blocks, adjoints, out=terms)
     np.add.reduce(terms, axis=0, out=out)
 
 
 def _kernel_operands(c: KrausChannel) -> tuple:
-    """The stacked operators, their adjoints and fresh (left, terms) buffers of `_kraus_sum` for `c`."""
+    """The stacked operators, their adjoints and fresh (left, blocks, terms) buffers of `_kraus_sum` for `c`."""
     ops = c.kraus_ops
     stack = ops.reshape(-1, c.dim)
-    return stack, ops.conj().transpose(0, 2, 1), np.empty(stack.shape, complex), np.empty(ops.shape, complex)
+    left = np.empty(stack.shape, complex)
+    return stack, ops.conj().transpose(0, 2, 1), left, left.reshape(ops.shape), np.empty(ops.shape, complex)
 
 
 def apply_raw(c: KrausChannel, m: np.ndarray) -> np.ndarray:

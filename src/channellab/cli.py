@@ -193,7 +193,7 @@ def _cmd_orbit(args) -> int:
         "distance_to_fixed_point": values[FUNCTIONAL_TRIVIAL] if unique else [None] * rows,
         "functionals": {name: values[name] for name in functionals},
     }
-    sys.stdout.write("".join(line + "\n" for line in canonical_json_rows(columns, rows)))
+    sys.stdout.write("\n".join(canonical_json_rows(columns, rows)) + "\n")
     return 0
 
 

@@ -7,11 +7,14 @@ check per row, one ``set(map(type, ...))`` over all entries (numbers are
 (an integer beyond the double range is not finite).  A rejected input
 raises the error of its first faulty entry.  ``canonical_json`` is a
 deterministic serializer: object keys are sorted, floats are emitted with
-17 significant digits (exact round trip), and infinities become the
-string sentinels ``"inf"`` / ``"-inf"`` (JSON has no infinity literal).
-It dispatches on exact types and writes a list of finite floats, or of
+17 significant digits (exact round trip) by ``"%.17g".__mod__``, the text
+of ``"{:.17g}".format`` at less cost, and infinities become the string
+sentinels ``"inf"`` / ``"-inf"`` (JSON has no infinity literal).  It
+dispatches on exact types and writes a list of finite floats, or of
 ``[re, im]`` pairs of them, with one ``str.join``.  ``canonical_json_rows``
-writes a table of records given as columns.
+writes a table of records given as columns: a finite float64 array column
+is formatted once per distinct bit pattern (``np.unique`` of its int64
+view), and the records are filled in from one ``%`` template.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 _NUMBERS = {int, float}
 _PAIR_TYPES = {list, tuple}
-_FLOAT = "{:.17g}".format
+_FLOAT = "%.17g".__mod__
 _PAIR = "[{:.17g},{:.17g}]".format
 
 
@@ -152,9 +155,12 @@ def _column_rows(columns, rows: int, written: dict) -> list:
         return written[id(columns)]
     if isinstance(columns, dict):
         keys = sorted(columns)
-        template = "{{" + ",".join(_key_text(key).replace("{", "{{").replace("}", "}}") + ":{}" for key in keys) + "}}"
+        template = "{" + ",".join(_key_text(key).replace("%", "%%") + ":%s" for key in keys) + "}"
         parts = [_column_rows(columns[key], rows, written) for key in keys]
-        texts = list(map(template.format, *parts)) if parts else ["{}"] * rows
+        texts = list(map(template.__mod__, zip(*parts))) if parts else ["{}"] * rows
+    elif _finite_float_column(columns):  # each distinct bit pattern written once
+        distinct, inverse = np.unique(columns.view(np.int64), return_inverse=True)
+        texts = np.array(list(map(_FLOAT, distinct.view(float).tolist())), dtype=object)[inverse].tolist()
     else:
         values = columns.tolist() if isinstance(columns, np.ndarray) else list(columns)
         kinds = set(map(type, values))
@@ -162,6 +168,10 @@ def _column_rows(columns, rows: int, written: dict) -> list:
         texts = list(map(str if kinds == {int} else _FLOAT if finite_floats else _text, values))
     written[id(columns)] = texts
     return texts
+
+
+def _finite_float_column(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype == float and column.ndim == 1 and np.isfinite(column).all()
 
 
 def input_digest(doc) -> str:

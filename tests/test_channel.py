@@ -161,6 +161,25 @@ class TestAction:
             assert got.tobytes() == want.tobytes()
             m = got
 
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("rank", [1, 2, 4, 9])
+    def test_kernel_equals_the_matmul_formulation_bitwise(self, dim, rank):
+        # reference: the left products by `np.matmul` on the stack, as the kernel formed them before `ndarray.dot`
+        rng = np.random.default_rng([dim, rank])
+        c = KrausChannel(dim, tuple(rng.standard_normal((rank, dim, dim, 2)).view(complex)[..., 0]))
+        stack, adjoints = c.kraus_ops.reshape(-1, dim), c.kraus_ops.conj().transpose(0, 2, 1)
+        operands = channel_module._kernel_operands(c)
+        for scale in (1.0, 1e-150, 1e-300):
+            m = scale * rng.standard_normal((dim, dim, 2)).view(complex)[..., 0]
+            left, terms, want = np.empty(stack.shape, complex), np.empty(c.kraus_ops.shape, complex), np.empty_like(m)
+            np.matmul(stack, m, out=left)
+            np.matmul(left.reshape(terms.shape), adjoints, out=terms)
+            np.add.reduce(terms, axis=0, out=want)
+            got = np.empty_like(m)
+            channel_module._kraus_sum(m, got, *operands)
+            assert got.tobytes() == want.tobytes(), scale
+            assert apply_raw(c, m).tobytes() == want.tobytes(), scale
+
     def test_advance_stops_at_the_trace_gate_of_step_one(self, monkeypatch):
         ops = [np.array(k) for k in build_named("amplitude-damping", gamma=0.3).kraus_ops]
         ops[0][0, 0] *= np.sqrt(1.0 + 1e-6)

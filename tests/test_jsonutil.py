@@ -209,6 +209,33 @@ def test_rows_of_a_repeated_column_and_of_integer_columns_equal_per_record_canon
     assert canonical_json_rows(columns, 3) == want
 
 
+def test_rows_of_float_columns_equal_per_record_canonical_json():
+    # finite float64 columns are written once per distinct bit pattern; the others value by value
+    extremes = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+    columns = {
+        "periodic": np.tile([1.0 / 3.0, 0.1, -2.5, 1e-17], 5),
+        "extremes": np.array(extremes * 3 + [0.0]),
+        "strided": np.arange(40.0)[::2] / 7.0,
+        "swapped": np.arange(20.0).astype(">f8") / 3.0,
+        "inf": np.array([math.inf, -math.inf, 1.0, 0.5] * 5),
+        "100% {k}": {"{}": np.full(20, 0.75), "%s%%": np.linspace(-1.0, 1.0, 20)},
+    }
+    want = [canonical_json({key: _row(value, k) for key, value in columns.items()}) for k in range(20)]
+    assert want == [reference_json({key: _row(value, k) for key, value in columns.items()}) for k in range(20)]
+    assert canonical_json_rows(columns, 20) == want
+
+
+def test_rows_of_random_float_bit_patterns_equal_the_reference_writer():
+    bits = np.random.default_rng(17).integers(-(2**63), 2**63, 10_000, dtype=np.int64).view(float)
+    column = np.concatenate([bits[np.isfinite(bits)]] * 2)
+    assert canonical_json_rows({"x": column}, len(column)) == [reference_json({"x": x}) for x in column.tolist()]
+
+
+def test_rows_of_a_periodic_float_column_with_nan_raise():
+    with pytest.raises(ValueError, match="NaN"):
+        canonical_json_rows({"%{}": np.tile([0.5, math.nan, 0.5], 3)}, 9)
+
+
 def test_rows_keep_the_errors_of_canonical_json():
     with pytest.raises(ValueError, match="NaN"):
         canonical_json_rows({"x": np.array([1.0, math.nan])}, 2)

@@ -43,6 +43,7 @@ from channellab.lyapunov import (
     cesaro_averages,
 )
 from channellab.opalg import trace_norm
+from channellab.tolerances import CONTRACTION_SLACK
 from channellab.zoo import (
     build,
     build_named,
@@ -846,7 +847,7 @@ def _deadline(seconds: float):
 
 
 class TestCesaroHorizons:
-    """Whole blocks of 100 terms are summed by doubling, so the cost is logarithmic in n."""
+    """One pass over the bits of n + 1 doubles the partial sums G(2^b), so the cost is logarithmic in n."""
 
     @pytest.mark.parametrize("channel", [build_named("depolarizing", p=0.5), example_ergodic_channel()],
                              ids=["depolarizing", "population-flip"])
@@ -913,3 +914,30 @@ class TestPurityBound:
             warnings.simplefilter("error")
             with pytest.raises(np.linalg.LinAlgError, match="purity"):
                 asymptotic_deformation_estimate(s, pair, 10**17)
+
+
+class TestContractionGuard:
+    """A channel never increases a trace distance; past ``CONTRACTION_SLACK`` a rotation mode's drift raises."""
+
+    PAIR = [(random_state(2, seed=1), random_state(2, seed=2))]
+
+    def test_drift_below_the_slack_passes(self):
+        s = to_superoperator(build_named("unitary", theta=1.0))
+        [(d0, d_limit)] = asymptotic_deformation_estimate(s, self.PAIR, 10**6)
+        assert 0.0 <= d_limit - d0 <= CONTRACTION_SLACK
+
+    @pytest.mark.parametrize("n", [10**7, 10**12])
+    def test_growing_distance_raises(self, n):
+        s = to_superoperator(build_named("unitary", theta=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="exceed their initial values"):
+                asymptotic_deformation_estimate(s, self.PAIR, n)
+
+    def test_contracting_pairs_pass_at_long_horizons(self, zoo_entries, spectral_reports):
+        for spec, c in zoo_entries:
+            if spec.label in TestPurityBound.ROTATIONS:
+                continue  # rotation modes trip the purity bound here
+            pairs = [(DensityMatrix.basis_state(c.dim, 0), random_state(c.dim, seed=5))]
+            [(d0, d_limit)] = asymptotic_deformation_estimate(spectral_reports[spec.label].superoperator, pairs, 10**12)
+            assert d_limit <= d0 + CONTRACTION_SLACK, spec.label

@@ -1,4 +1,5 @@
-"""Source rules: every numerical threshold lives in `tolerances.py`; only `channel.py` forms matrix powers of S."""
+"""Source rules: every numerical threshold lives in `tolerances.py`; only `channel.py` forms matrix powers of S;
+only `jsonutil.py` writes 17-digit float text."""
 
 import ast
 import tokenize
@@ -60,3 +61,14 @@ def test_no_module_calls_matrix_power(path):
         if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "matrix_power"
     ]
     assert lines == []
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "jsonutil.py"), ids=lambda p: p.name)
+def test_only_jsonutil_writes_seventeen_digit_floats(path):
+    # float text has one writer, so every report formats a double the same way
+    lines = [n for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if ".17g" in line]
+    assert lines == []
+
+
+def test_jsonutil_writes_seventeen_digit_floats():
+    assert ".17g" in (SRC / "jsonutil.py").read_text(encoding="utf-8")
