@@ -12,9 +12,11 @@ of ``"{:.17g}".format`` at less cost, and infinities become the string
 sentinels ``"inf"`` / ``"-inf"`` (JSON has no infinity literal).  It
 dispatches on exact types and writes a list of finite floats, or of
 ``[re, im]`` pairs of them, with one ``str.join``.  ``canonical_json_rows``
-writes a table of records given as columns: a finite float64 array column
-is formatted once per distinct bit pattern (``np.unique`` of its int64
-view), and the records are filled in from one ``%`` template.
+writes a table of records given as columns: a finite 1-D float64 array
+column is formatted once per distinct bit pattern (``np.unique`` of its
+int64 view), an all-``int`` column by ``str``, any other column value by
+value as ``canonical_json`` would, and the records are filled in from one
+``%`` template.
 """
 
 from __future__ import annotations
@@ -163,9 +165,7 @@ def _column_rows(columns, rows: int, written: dict) -> list:
         texts = np.array(list(map(_FLOAT, distinct.view(float).tolist())), dtype=object)[inverse].tolist()
     else:
         values = columns.tolist() if isinstance(columns, np.ndarray) else list(columns)
-        kinds = set(map(type, values))
-        finite_floats = kinds == {float} and all(map(math.isfinite, values))
-        texts = list(map(str if kinds == {int} else _FLOAT if finite_floats else _text, values))
+        texts = list(map(str if set(map(type, values)) == {int} else _text, values))
     written[id(columns)] = texts
     return texts
 

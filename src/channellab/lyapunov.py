@@ -360,9 +360,11 @@ def asymptotic_deformation_estimate(
     The channel asymptotically deforms the pair when the horizon distance
     differs from the initial one; mixing is equivalent to every distinct
     pair deforming (toward zero).  Both states of every pair are carried
-    to the horizon together by `_advance`, then `_check_purity`; a channel
-    never increases a trace distance, so a horizon distance above its
-    initial one by more than ``CONTRACTION_SLACK`` raises ``LinAlgError``.
+    to the horizon together by `_advance`, then `_check_purity`.  `s` must
+    be a channel (positive and trace-preserving): a channel never increases
+    a trace distance, so a horizon distance above its initial one by more
+    than ``WEAK_CONTRACTION_TOL`` raises ``LinAlgError`` (roundoff drift, or
+    a map that is not a channel).
     """
     if n < 1:
         raise ValueError("horizon n must be >= 1")
@@ -372,8 +374,9 @@ def asymptotic_deformation_estimate(
     distances = _trace_distances(at[:, 0::2], at[:, 1::2])
     _check_purity([at], n)
     growth = float((distances - initial).max())
-    if growth > tol.CONTRACTION_SLACK:
-        raise np.linalg.LinAlgError(f"trace distances at horizon {n:.6g} exceed their initial values by {growth:.3g}")
+    if growth > tol.WEAK_CONTRACTION_TOL:
+        raise np.linalg.LinAlgError(f"trace distances at horizon {n:.6g} exceed their initial values by {growth:.3g}: "
+                                    "roundoff drift, or the map is not a channel")
     return list(zip(initial, distances.tolist()))
 
 

@@ -35,10 +35,9 @@ EVIDENCE_GAP = 1e-6          # limit-gap threshold for Lyapunov / deformation ev
 MONOTONE_DEFECT_TOL = 1e-9   # allowed monotonicity violation along orbits
 STATE_MATCH_TOL = 1e-9       # trace distance below which two states count as equal
 DISTINCT_PAIR_TOL = 1e-9     # state pairs closer than this are rejected as duplicates
-WEAK_CONTRACTION_TOL = 1e-9  # slack when testing for a strict distance decrease
+WEAK_CONTRACTION_TOL = 1e-9  # trace-distance roundoff slack after a channel: strict decrease, horizon growth (~2.2e-16 a step)
 ORACLE_TOL = 1e-8            # default orbit-oracle bound on the max pairwise probe distance
 PURITY_SLACK = 1e-9          # advanced states' purity excess; rotation modes add ~2.4e-16 a step, tripping near n = 4e6
-CONTRACTION_SLACK = 1e-9     # horizon trace distance over the initial one; rotation modes add ~2.2e-16 a step
 
 # --- conserved dilations --------------------------------------------------------
 COMMUTATOR_TOL = 1e-9        # max-norm defect of [mA (x) I + I (x) mB, U] = 0

@@ -43,7 +43,7 @@ from channellab.lyapunov import (
     cesaro_averages,
 )
 from channellab.opalg import trace_norm
-from channellab.tolerances import CONTRACTION_SLACK
+from channellab.tolerances import WEAK_CONTRACTION_TOL
 from channellab.zoo import (
     build,
     build_named,
@@ -917,14 +917,14 @@ class TestPurityBound:
 
 
 class TestContractionGuard:
-    """A channel never increases a trace distance; past ``CONTRACTION_SLACK`` a rotation mode's drift raises."""
+    """A channel never increases a trace distance; past ``WEAK_CONTRACTION_TOL`` a rotation mode's drift raises."""
 
     PAIR = [(random_state(2, seed=1), random_state(2, seed=2))]
 
     def test_drift_below_the_slack_passes(self):
         s = to_superoperator(build_named("unitary", theta=1.0))
         [(d0, d_limit)] = asymptotic_deformation_estimate(s, self.PAIR, 10**6)
-        assert 0.0 <= d_limit - d0 <= CONTRACTION_SLACK
+        assert 0.0 <= d_limit - d0 <= WEAK_CONTRACTION_TOL
 
     @pytest.mark.parametrize("n", [10**7, 10**12])
     def test_growing_distance_raises(self, n):
@@ -934,10 +934,19 @@ class TestContractionGuard:
             with pytest.raises(np.linalg.LinAlgError, match="exceed their initial values"):
                 asymptotic_deformation_estimate(s, self.PAIR, n)
 
+    def test_a_map_that_moves_states_apart_raises(self):
+        shear = np.eye(4)
+        shear[1, 2] = -0.5  # keeps the trace, spectral radius 1, but not positive: not a channel
+        s = Superoperator(2, bloch=shear)
+        paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+        rho, sigma = (DensityMatrix(np.eye(2) / 2 + sign * 0.1 * paulis.sum(axis=0)) for sign in (1, -1))
+        with pytest.raises(np.linalg.LinAlgError, match="not a channel"):
+            asymptotic_deformation_estimate(s, [(rho, sigma)], 2)
+
     def test_contracting_pairs_pass_at_long_horizons(self, zoo_entries, spectral_reports):
         for spec, c in zoo_entries:
             if spec.label in TestPurityBound.ROTATIONS:
                 continue  # rotation modes trip the purity bound here
             pairs = [(DensityMatrix.basis_state(c.dim, 0), random_state(c.dim, seed=5))]
             [(d0, d_limit)] = asymptotic_deformation_estimate(spectral_reports[spec.label].superoperator, pairs, 10**12)
-            assert d_limit <= d0 + CONTRACTION_SLACK, spec.label
+            assert d_limit <= d0 + WEAK_CONTRACTION_TOL, spec.label
