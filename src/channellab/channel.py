@@ -103,9 +103,16 @@ def _trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Finite columns near the double range can still differ beyond it, so a
     norm that is not finite raises ``numpy.linalg.LinAlgError``.
     """
-    dim = math.isqrt(a.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        operators = from_bloch(a - b).T.reshape(-1, dim, dim)  # Hermitian, read transposed
+        return _trace_norms(a - b)
+
+
+def _trace_norms(x: np.ndarray) -> np.ndarray:
+    """Trace norm of each Hermitian operator with its Bloch coordinates in a column of `x`, by one ``eigvalsh``; a
+    norm that is not finite raises ``numpy.linalg.LinAlgError``."""
+    dim = math.isqrt(x.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        operators = from_bloch(x).T.reshape(-1, dim, dim)  # Hermitian, read transposed
         norms = np.abs(np.linalg.eigvalsh(operators)).sum(axis=1)
     if not np.isfinite(norms).all():
         raise np.linalg.LinAlgError("trace distances of the advanced states are not finite")
@@ -483,7 +490,7 @@ def stinespring_from_document(sub) -> StinespringDilation:
     if missing:
         raise ValueError(f"stinespring document is missing {sorted(missing)}")
     dim_a, dim_b = sub["dimA"], sub["dimB"]
-    if not isinstance(dim_a, int) or not isinstance(dim_b, int):
+    if type(dim_a) is not int or type(dim_b) is not int:  # not isinstance: JSON true and false are ints too
         raise ValueError("dimA and dimB must be integers")
     unitary = json_to_matrix(sub["unitary"], what="unitary")
     bath = json_to_vector(sub["bath_state"], what="bath_state")
@@ -509,7 +516,7 @@ def channel_from_document(doc) -> KrausChannel:
     if has_kraus == has_stine:
         raise ValueError('channel document needs exactly one of "kraus" or "stinespring"')
     if has_kraus:
-        if "dim" not in doc or not isinstance(doc["dim"], int):
+        if type(doc.get("dim")) is not int:  # not isinstance: JSON true and false are ints too
             raise ValueError('Kraus-form document needs an integer "dim"')
         dim = doc["dim"]
         raw = doc["kraus"]
@@ -518,7 +525,7 @@ def channel_from_document(doc) -> KrausChannel:
         ops = tuple(json_to_matrix(k, what="kraus operator") for k in raw)
         return KrausChannel(dim, ops, label=label)
     dilation = stinespring_from_document(doc["stinespring"])
-    if "dim" in doc and doc["dim"] != dilation.dim_a:
+    if "dim" in doc and (isinstance(doc["dim"], bool) or doc["dim"] != dilation.dim_a):
         raise ValueError('"dim" disagrees with stinespring dimA')
     return from_stinespring(dilation, label=label)
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import opalg
 from . import tolerances as tol
 from .channel import DensityMatrix, KrausChannel, Superoperator, advance, is_unital, step, vec
-from .channel import _squares, _trace_distances, from_bloch, to_bloch
+from .channel import _squares, _trace_distances, _trace_norms, from_bloch, to_bloch
 from .errors import HypothesisViolation
 from .spectral import VERDICT_NOT_ERGODIC, SpectralReport
 
@@ -514,6 +514,32 @@ def _check_purity(blocks: list[np.ndarray], horizon: int) -> None:
         raise np.linalg.LinAlgError(f"states advanced to horizon {horizon:.6g} have purity {purity:.6g} above 1")
 
 
+def _max_pair_distances(blocks: list[np.ndarray], i: np.ndarray, j: np.ndarray) -> list[float]:
+    """The largest trace distance between the columns `i` and the columns `j` of each of `blocks`: bound, then verify.
+
+    A Hermitian X has ``||X||_1 <= sqrt(d) ||X||_F``, and ``||X||_F`` is the Euclidean norm f of its Bloch column,
+    taken after dividing the column by its largest entry so that differences near 1e-300 do not underflow to 0.
+    One ``eigvalsh`` reads the largest-f pair of each block, giving the distance m; a second reads only the pairs
+    with ``sqrt(d) f (1 + PAIR_BOUND_SLACK) >= m`` (and those of subnormal scale), the only ones that can exceed it.
+    Each matrix is the same `from_bloch` of the same difference as in `_trace_distances`, so the maxima are too.
+    A difference that is not finite sends every pair to `_trace_distances`, which raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        at = np.stack(blocks)
+        x = at[:, :, i] - at[:, :, j]  # (block, coordinate, pair)
+        scale = np.abs(x).max(1)
+        f = scale * np.sqrt(np.square(x / np.where(scale > 0, scale, 1.0)[:, None]).sum(1))
+        bound = f * (math.sqrt(math.isqrt(x.shape[1])) * (1.0 + tol.PAIR_BOUND_SLACK))
+    if not np.isfinite(f).all():
+        return [float(_trace_distances(block[:, i], block[:, j]).max()) for block in blocks]
+    rows, top = np.arange(len(x)), f.argmax(1)
+    best = _trace_norms(x[rows, :, top].T)
+    candidates = (f > 0) & ((scale < np.finfo(float).tiny) | (bound >= best[:, None]))
+    candidates[rows, top] = False
+    b, k = np.nonzero(candidates)
+    np.maximum.at(best, b, _trace_norms(x[b, :, k].T))
+    return best.tolist()
+
+
 def orbit_oracle(
     s: Superoperator, n_max: int = 2000, tol_distance: float = tol.ORACLE_TOL, seed: int = 0
 ) -> OracleResult:
@@ -527,8 +553,9 @@ def orbit_oracle(
     the trailing window of ``max(1, n_max // 10)`` steps
     (`trailing_max_distance`).  A channel never increases trace distances,
     so the window's first step carries its maximum up to roundoff.  One
-    `_advance` carries the probes to both points, and `_trace_distances`
-    reads every pair; a block or a distance that is not finite, then a
+    `_advance` carries the probes to both points, and `_max_pair_distances`
+    eigensolves only the pairs whose sqrt(d) * Frobenius bound reaches an
+    exact distance; a block or a distance that is not finite, then a
     purity above 1 (`_check_purity`), raises ``numpy.linalg.LinAlgError``.
     The verdict never reads the spectrum.
     """
@@ -538,7 +565,7 @@ def orbit_oracle(
     window = max(1, n_max // 10)
     i, j = np.triu_indices(len(probes), k=1)
     at = _advance(s, probes, (n_max - window + 1, n_max))
-    trailing_max, final = (float(_trace_distances(block[:, i], block[:, j]).max()) for block in at)
+    trailing_max, final = _max_pair_distances(at, i, j)
     _check_purity(at, n_max)
     verdict = ORACLE_MIXING if final < tol_distance and trailing_max < tol_distance else ORACLE_NOT_MIXING
     return OracleResult(verdict=verdict, final_max_distance=final, trailing_max_distance=trailing_max, n_max=n_max,

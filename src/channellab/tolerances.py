@@ -38,6 +38,7 @@ DISTINCT_PAIR_TOL = 1e-9     # state pairs closer than this are rejected as dupl
 WEAK_CONTRACTION_TOL = 1e-9  # trace-distance roundoff slack after a channel: strict decrease, horizon growth (~2.2e-16 a step)
 ORACLE_TOL = 1e-8            # default orbit-oracle bound on the max pairwise probe distance
 PURITY_SLACK = 1e-9          # advanced states' purity excess; rotation modes add ~2.4e-16 a step, tripping near n = 4e6
+PAIR_BOUND_SLACK = 1e-9      # relative slack of the oracle's sqrt(d) * Frobenius bound on a pair's trace norm: the norm and eigvalsh each err by ~d * 2.2e-16
 
 # --- conserved dilations --------------------------------------------------------
 COMMUTATOR_TOL = 1e-9        # max-norm defect of [mA (x) I + I (x) mB, U] = 0

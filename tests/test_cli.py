@@ -177,6 +177,37 @@ class TestInputErrors:
         assert run_cli(capsys, ["--help"])[0] == 0
 
 
+# JSON true and false are Python ints; as sizes they are malformed input, not a crash in ``np.eye``.
+ONE_LEVEL_DILATION = {"dimA": 1, "dimB": 1, "unitary": [[[1.0, 0.0]]], "bath_state": [[1.0, 0.0]]}
+BOOLEAN_DIM_DOCS = {
+    "kraus-dim-true": ({"dim": True, "kraus": [[[[1.0, 0.0]]]]}, 'Kraus-form document needs an integer "dim"'),
+    "kraus-dim-false": ({"dim": False, "kraus": [[[[1.0, 0.0]]]]}, 'Kraus-form document needs an integer "dim"'),
+    "stinespring-dims-true": (
+        {"stinespring": {**ONE_LEVEL_DILATION, "dimA": True, "dimB": True}}, "dimA and dimB must be integers"
+    ),
+    "stinespring-dim-true": ({"dim": True, "stinespring": ONE_LEVEL_DILATION}, '"dim" disagrees with stinespring dimA'),
+}
+
+
+class TestBooleanDimensions:
+    @pytest.mark.parametrize("name", sorted(BOOLEAN_DIM_DOCS))
+    @pytest.mark.parametrize("command", ["validate", "classify", "orbit"])
+    def test_boolean_dimension_exits_two(self, capsys, tmp_path, command, name):
+        doc, message = BOOLEAN_DIM_DOCS[name]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        extra = ["--state", "basis:0", "--n", "3"] if command == "orbit" else []
+        rc, out, err = run_cli(capsys, [command, str(path), *extra])
+        assert (rc, out, err) == (2, "", f"invalid input: {message}\n")
+
+    def test_boolean_dilation_dimensions_exit_two(self, capsys, tmp_path):
+        rc, out, err = run_cli(capsys, ["zoo-emit", "partial-swap-dilation", "--instance"])
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({**json.loads(out), "dimA": True, "dimB": True}))
+        rc, out, err = run_cli(capsys, ["dilation", str(path)])
+        assert (rc, out, err) == (2, "", "invalid input: dimA and dimB must be integers\n")
+
+
 class TestClassify:
     def test_depolarizing_verdict(self, capsys, tmp_path):
         path = emit_to_file(capsys, tmp_path, ["depolarizing", "--param", "p=0.25"], "depol.json")

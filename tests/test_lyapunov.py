@@ -950,3 +950,62 @@ class TestContractionGuard:
             pairs = [(DensityMatrix.basis_state(c.dim, 0), random_state(c.dim, seed=5))]
             [(d0, d_limit)] = asymptotic_deformation_estimate(spectral_reports[spec.label].superoperator, pairs, 10**12)
             assert d_limit <= d0 + WEAK_CONTRACTION_TOL, spec.label
+
+
+def _advanced_oracle_blocks(s: Superoperator, n_max: int, seed: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """The oracle's two advanced probe blocks at horizon `n_max` and its pair indices."""
+    probes = lyapunov._probe_stack(s.dim, seed)
+    window = max(1, n_max // 10)
+    i, j = np.triu_indices(len(probes), k=1)
+    return lyapunov._advance(s, probes, (n_max - window + 1, n_max)), i, j
+
+
+def _all_pair_maxima(blocks: list, i: np.ndarray, j: np.ndarray) -> list[float]:
+    return [float(channel_module._trace_distances(block[:, i], block[:, j]).max()) for block in blocks]
+
+
+class TestPairDistanceBound:
+    """The oracle eigensolves only the pairs whose sqrt(d) * Frobenius bound reaches an exact distance."""
+
+    def test_maxima_equal_the_all_pair_maxima_bit_for_bit(self, zoo_entries):
+        u = random_channel(7, 1, 41).kraus_ops[0]  # Haar unitary of a rank-1 channel
+        summed = _direct_sum(random_channel(3, 2, 42), random_channel(4, 3, 43))
+        cases = [(spec.label, c) for spec, c in zoo_entries]
+        cases += [(f"random-d{d}", random_channel(d, 2, 3)) for d in (5, 8, 12, 16)]
+        cases += [("conjugated-sum-d7", KrausChannel(7, tuple(u @ k @ u.conj().T for k in summed.kraus_ops)))]
+        for label, c in cases:
+            s = to_superoperator(c)
+            for n_max in (100, 2000, 2500, 10**6):  # at 2500 depolarizing(p=0.25) differs only below 1e-308
+                for seed in range(4):
+                    blocks, i, j = _advanced_oracle_blocks(s, n_max, seed)
+                    got = lyapunov._max_pair_distances(blocks, i, j)
+                    assert got == _all_pair_maxima(blocks, i, j), (label, n_max, seed)
+
+    def test_converged_probes_give_exactly_zero(self):
+        s = to_superoperator(build_named("depolarizing", p=0.5))
+        blocks, i, j = _advanced_oracle_blocks(s, 2000, 0)
+        assert all(np.array_equal(block[:, i], block[:, j]) for block in blocks)  # every difference is 0
+        assert lyapunov._max_pair_distances(blocks, i, j) == [0.0, 0.0]
+
+    @pytest.mark.parametrize("scale", [1e-250, 1e-300])
+    def test_tiny_differences_keep_the_exact_maximum(self, scale):
+        # unscaled squares of such differences underflow to 0, which would prune the true maximum
+        blocks, i, j = _advanced_oracle_blocks(to_superoperator(random_channel(8, 2, 3)), 2000, 0)
+        tiny = [block * scale for block in blocks]
+        want = _all_pair_maxima(tiny, i, j)
+        assert min(want) > 0.0
+        assert lyapunov._max_pair_distances(tiny, i, j) == want
+
+    def test_few_pairs_reach_the_eigensolver(self, monkeypatch):
+        s = to_superoperator(random_channel(16, 2, 3))
+        real_eigvalsh = np.linalg.eigvalsh
+        matrices = []
+
+        def counted(a, *args, **kwargs):
+            matrices.append(len(a))
+            return real_eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        result = orbit_oracle(s, n_max=2000)
+        pairs = result.n_probes * (result.n_probes - 1) // 2
+        assert len(matrices) == 2 and sum(matrices) < 120 < 2 * pairs == 702
